@@ -7,14 +7,12 @@
 //!   (`GarConfig::build()` + `aggregate_batch`), the baseline every
 //!   previous PR's numbers refer to;
 //! * **sharded S ∈ {1, 2, 4, 8}** — the `ShardedAggregator` pipeline:
-//!   per-shard partial distance matrices (column-blocked, sixteen-lane
-//!   inner kernel), shard-order reduce, one global selection, per-shard
-//!   column kernels on the selected rows.
+//!   per-shard partial distance matrices, shard-order reduce, then the
+//!   unsharded rule's selection and reduction on the global matrix; the
+//!   coordinate rules run one column kernel per shard.
 //!
-//! On a multi-core box the shards run concurrently under rayon; on a single
-//! core the win comes from the per-shard kernel itself (L2-resident column
-//! tiles and an accumulate chain deep enough to keep the vector pipes
-//! busy). Results are written as machine-readable JSON (default
+//! Both paths run the same blocked distance kernel, so the ratio measures
+//! what sharding adds or saves, not a kernel difference. Results are written as machine-readable JSON (default
 //! `BENCH_shard.json`, override with `--out <path>`) so CI can archive the
 //! trajectory, and printed as a table for humans.
 

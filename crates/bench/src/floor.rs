@@ -45,18 +45,23 @@ pub const FLOORS: &[(&str, &str, f64)] = &[
     ("BENCH_gar.json", "bulyan@d100000", 3.3),
     // BENCH_shard.json — sharded vs unsharded per shard count
     // (`unsharded_ns / sharded_ns`).
-    ("BENCH_shard.json", "multi-krum@S1", 1.3),
-    ("BENCH_shard.json", "multi-krum@S2", 1.3),
-    ("BENCH_shard.json", "multi-krum@S4", 1.3),
-    ("BENCH_shard.json", "multi-krum@S8", 1.3),
-    ("BENCH_shard.json", "krum@S1", 1.3),
-    ("BENCH_shard.json", "krum@S2", 1.3),
-    ("BENCH_shard.json", "krum@S4", 1.3),
-    ("BENCH_shard.json", "krum@S8", 1.3),
-    ("BENCH_shard.json", "bulyan@S1", 1.0),
-    ("BENCH_shard.json", "bulyan@S2", 1.0),
-    ("BENCH_shard.json", "bulyan@S4", 1.0),
-    ("BENCH_shard.json", "bulyan@S8", 1.0),
+    //
+    // Sharded and unsharded distance rules run the same blocked kernel, so
+    // these floors guard sharding overhead, like the coordinate rules' 0.98
+    // below; kernel speed is guarded by BENCH_gar's krum/multi-krum/bulyan
+    // floors.
+    ("BENCH_shard.json", "multi-krum@S1", 0.98),
+    ("BENCH_shard.json", "multi-krum@S2", 0.98),
+    ("BENCH_shard.json", "multi-krum@S4", 0.98),
+    ("BENCH_shard.json", "multi-krum@S8", 0.98),
+    ("BENCH_shard.json", "krum@S1", 0.98),
+    ("BENCH_shard.json", "krum@S2", 0.98),
+    ("BENCH_shard.json", "krum@S4", 0.98),
+    ("BENCH_shard.json", "krum@S8", 0.98),
+    ("BENCH_shard.json", "bulyan@S1", 0.98),
+    ("BENCH_shard.json", "bulyan@S2", 0.98),
+    ("BENCH_shard.json", "bulyan@S4", 0.98),
+    ("BENCH_shard.json", "bulyan@S8", 0.98),
     // Acceptance anchor (PR 5): coordinate-wise rules never regress under
     // sharding again (the recorded fix was 0.95 → 1.00).
     ("BENCH_shard.json", "median@S1", 0.98),

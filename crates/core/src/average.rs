@@ -1,9 +1,9 @@
 //! Plain gradient averaging — the non-resilient baseline
 //! (`tf.train.SyncReplicasOptimizer` in the paper's evaluation).
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
+use crate::gar::{ensure_batch_nonempty, Aggregation, Gar, GarProperties, Resilience};
 use crate::Result;
-use agg_tensor::{GradientBatch, Vector};
+use agg_tensor::GradientBatch;
 
 /// Coordinate-wise arithmetic mean of all submitted gradients.
 ///
@@ -45,9 +45,9 @@ impl Gar for Average {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation> {
         ensure_batch_nonempty("average", batch)?;
-        Ok(batch.coordinate_mean()?)
+        Ok(batch.coordinate_mean()?.into())
     }
 }
 
@@ -55,6 +55,7 @@ impl Gar for Average {
 mod tests {
     use super::*;
     use crate::AggregationError;
+    use agg_tensor::Vector;
 
     #[test]
     fn averages_coordinatewise() {

@@ -20,8 +20,10 @@
 //! networks of `agg_tensor::sortnet` (the θ selected rows are far below the
 //! network cap), sharing the closest-to-median window kernel with MeaMed.
 
-use crate::gar::{ensure_batch_nonempty, validate_batch, Gar, GarProperties, Resilience};
-use crate::multi_krum::krum_scores;
+use crate::gar::{
+    ensure_batch_nonempty, validate_batch, Aggregation, Gar, GarProperties, Resilience,
+};
+use crate::multi_krum::{distance_matrix, krum_scores};
 use crate::{resilience, AggregationError, Result};
 use agg_tensor::{stats, GradientBatch, TensorError, Vector};
 
@@ -71,28 +73,15 @@ impl Bulyan {
     /// the usual batch-validation errors.
     pub fn select(&self, gradients: &[Vector]) -> Result<Vec<usize>> {
         validate_batch("bulyan", gradients)?;
-        let batch = GradientBatch::from_vectors(gradients)
-            .expect("validate_batch guarantees a non-empty, consistent batch");
-        self.select_batch(&batch)
-    }
-
-    /// Arena variant of [`Bulyan::select`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Bulyan::select`].
-    pub fn select_batch(&self, batch: &GradientBatch) -> Result<Vec<usize>> {
-        let n = ensure_batch_nonempty("bulyan", batch)?;
-        resilience::check_bulyan(n, self.f)?;
-        // The paper's optimisation: distances are computed once, here.
-        let distances = batch.pairwise_squared_distances();
-        self.select_with_distances(&distances)
+        resilience::check_bulyan(gradients.len(), self.f)?;
+        self.select_with_distances(&distance_matrix(gradients))
     }
 
     /// Runs the iterated-Krum selection on an already-computed distance
-    /// matrix (the sharded layer reduces per-shard partial matrices into the
-    /// global one and selects here once, so the sharded selection — and the
-    /// strong-resilience guarantee — is identical to the unsharded rule).
+    /// matrix — the rule's one selection routine. Both aggregation entry
+    /// points select here; the sharded layer reduces per-shard partial
+    /// matrices into the global one first, so the sharded selection — and
+    /// the strong-resilience guarantee — is the unsharded rule's.
     ///
     /// # Errors
     ///
@@ -131,7 +120,7 @@ impl Gar for Bulyan {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation> {
         let n = ensure_batch_nonempty("bulyan", batch)?;
         resilience::check_bulyan(n, self.f)?;
         // The paper's optimisation: distances are computed once, here.
@@ -143,7 +132,7 @@ impl Gar for Bulyan {
         &self,
         batch: &GradientBatch,
         distances: &agg_tensor::DistanceMatrix,
-    ) -> Result<Vector> {
+    ) -> Result<Aggregation> {
         ensure_batch_nonempty("bulyan", batch)?;
         if distances.n() != batch.n() {
             return Err(TensorError::dim(batch.n(), distances.n()).into());
@@ -158,10 +147,11 @@ impl Gar for Bulyan {
         // values rank as infinitely far and are never selected while enough
         // finite values exist; a coordinate that is NaN in every selected
         // row means the whole selection is corrupt.
-        batch.mean_around_median_of_rows(&selected, beta).map_err(|e| match e {
+        let output = batch.mean_around_median_of_rows(&selected, beta).map_err(|e| match e {
             TensorError::EmptyInput(_) => AggregationError::AllGradientsCorrupt("bulyan"),
-            other => other.into(),
-        })
+            other => AggregationError::from(other),
+        })?;
+        Ok(Aggregation { output, selected: Some(selected) })
     }
 }
 

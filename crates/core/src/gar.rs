@@ -51,6 +51,29 @@ pub struct GarProperties {
     pub tolerates_non_finite: bool,
 }
 
+/// What a rule returns for one round: the aggregate, plus the batch rows its
+/// selection phase kept.
+///
+/// `selected` is `None` for coordinate-wise rules, which have no selection
+/// phase. Krum, Multi-Krum and Bulyan return the rows they reduced, in the
+/// order they picked them, so selection feedback (the Byzantine-selection
+/// counter, adaptive attacks, the reputation ledger's exclusion evidence)
+/// reads the round that was actually applied and costs no extra pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Aggregation {
+    /// The vector the server applies to the model.
+    pub output: Vector,
+    /// The rows the selection phase kept, or `None` without one.
+    pub selected: Option<Vec<usize>>,
+}
+
+impl From<Vector> for Aggregation {
+    /// A coordinate-wise rule's result: no selection phase.
+    fn from(output: Vector) -> Self {
+        Aggregation { output, selected: None }
+    }
+}
+
 /// A Gradient Aggregation Rule (GAR).
 ///
 /// A GAR consumes the `n` gradient estimates submitted in one synchronous
@@ -59,6 +82,11 @@ pub struct GarProperties {
 /// their input: the server may be replicated and each replica must compute an
 /// identical update (§6 of the paper).
 ///
+/// There is one aggregation path: [`Gar::aggregate_batch`] (or
+/// [`Gar::aggregate_batch_with_distances`] when the distances are already
+/// known) returns the aggregate together with the rule's selection, so a
+/// caller never reruns a selection to learn which rows the round used.
+///
 /// Implementations are `Send + Sync` so the parameter-server simulator can
 /// evaluate them from worker threads and the benchmarks can share them.
 pub trait Gar: Send + Sync + fmt::Debug {
@@ -66,7 +94,8 @@ pub trait Gar: Send + Sync + fmt::Debug {
     fn properties(&self) -> GarProperties;
 
     /// Aggregates one round of gradients packed into a contiguous
-    /// [`GradientBatch`] arena — the hot-path entry point.
+    /// [`GradientBatch`] arena — the hot-path entry point — and reports the
+    /// rows the rule selected ([`Aggregation`]).
     ///
     /// The arena guarantees dimensional consistency by construction, so
     /// implementations only check their own preconditions (worker count,
@@ -77,20 +106,20 @@ pub trait Gar: Send + Sync + fmt::Debug {
     ///
     /// Implementations return [`crate::AggregationError`] when the batch is
     /// empty, too small for the declared `f`, or entirely corrupt.
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector>;
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation>;
 
     /// Aggregates one round when the pairwise squared-distance matrix over
     /// the batch rows has already been computed — the entry point of the
-    /// streaming round engine, which accumulates distances incrementally as
-    /// rows complete instead of recomputing them behind the round barrier.
+    /// streaming round engine and of the sharded aggregator, which reduce
+    /// the matrix from per-row or per-shard partials.
     ///
     /// The default ignores the matrix and delegates to
     /// [`Gar::aggregate_batch`]: coordinate-wise rules never consult
     /// distances, so for them the two entry points are the same function.
     /// Distance-based rules (Krum, Multi-Krum, Bulyan and their sharded
     /// wrappers) override this to select directly from the supplied matrix;
-    /// because the streaming accumulator reproduces the batch kernels
-    /// bit-for-bit, both entry points return identical bits there too.
+    /// [`Gar::aggregate_batch`] is then this function over the batch's own
+    /// matrix, computed once.
     ///
     /// # Errors
     ///
@@ -101,12 +130,13 @@ pub trait Gar: Send + Sync + fmt::Debug {
         &self,
         batch: &GradientBatch,
         _distances: &DistanceMatrix,
-    ) -> Result<Vector> {
+    ) -> Result<Aggregation> {
         self.aggregate_batch(batch)
     }
 
     /// Aggregates one round of gradients (thin adapter over
-    /// [`Gar::aggregate_batch`]: validates, packs the arena, aggregates).
+    /// [`Gar::aggregate_batch`]: validates, packs the arena, aggregates and
+    /// keeps the output).
     ///
     /// # Errors
     ///
@@ -118,7 +148,7 @@ pub trait Gar: Send + Sync + fmt::Debug {
         validate_batch(rule, gradients)?;
         let batch = GradientBatch::from_vectors(gradients)
             .expect("validate_batch guarantees a non-empty, consistent batch");
-        self.aggregate_batch(&batch)
+        Ok(self.aggregate_batch(&batch)?.output)
     }
 
     /// Convenience accessor for the rule name.

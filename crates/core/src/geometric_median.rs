@@ -8,7 +8,7 @@
 //! GAR: robust to a minority of outliers, but more expensive per round than
 //! Multi-Krum for the same dimension because of its iterative refinement.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
+use crate::gar::{ensure_batch_nonempty, Aggregation, Gar, GarProperties, Resilience};
 use crate::{resilience, AggregationError, Result};
 use agg_tensor::{ops, GradientBatch, Vector};
 
@@ -64,7 +64,7 @@ impl Gar for GeometricMedian {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation> {
         let n = ensure_batch_nonempty("geometric-median", batch)?;
         resilience::check_median("geometric-median", n, self.f)?;
         // Non-finite gradients cannot participate in distance computations;
@@ -104,7 +104,7 @@ impl Gar for GeometricMedian {
                 break;
             }
         }
-        Ok(estimate)
+        Ok(estimate.into())
     }
 }
 

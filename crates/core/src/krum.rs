@@ -4,7 +4,7 @@
 //! ("choosing m = 1 hampers the speed of convergence") and the Figure 5 / 6
 //! experiments need both configurations side by side.
 
-use crate::gar::{Gar, GarProperties, Resilience};
+use crate::gar::{Aggregation, Gar, GarProperties, Resilience};
 use crate::multi_krum::MultiKrum;
 use crate::{resilience, Result};
 use agg_tensor::{GradientBatch, Vector};
@@ -61,7 +61,7 @@ impl Gar for Krum {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation> {
         self.inner.aggregate_batch(batch)
     }
 
@@ -69,7 +69,7 @@ impl Gar for Krum {
         &self,
         batch: &GradientBatch,
         distances: &agg_tensor::DistanceMatrix,
-    ) -> Result<Vector> {
+    ) -> Result<Aggregation> {
         self.inner.aggregate_batch_with_distances(batch, distances)
     }
 }

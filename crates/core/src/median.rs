@@ -6,9 +6,9 @@
 //! (a pruned Batcher network placing only the median positions), falling
 //! back to scalar quickselect beyond it.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
+use crate::gar::{ensure_batch_nonempty, Aggregation, Gar, GarProperties, Resilience};
 use crate::{resilience, Result};
-use agg_tensor::{GradientBatch, Vector};
+use agg_tensor::GradientBatch;
 
 /// Coordinate-wise median of the submitted gradients.
 ///
@@ -53,10 +53,10 @@ impl Gar for CoordinateMedian {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation> {
         let n = ensure_batch_nonempty("median", batch)?;
         resilience::check_median("median", n, self.f)?;
-        Ok(batch.coordinate_median()?)
+        Ok(batch.coordinate_median()?.into())
     }
 }
 
@@ -64,6 +64,7 @@ impl Gar for CoordinateMedian {
 mod tests {
     use super::*;
     use crate::AggregationError;
+    use agg_tensor::Vector;
 
     #[test]
     fn median_of_clean_gradients() {

@@ -16,7 +16,9 @@
 //! [`crate::Bulyan`], which re-ranks scores across its iterations instead of
 //! recomputing distances.
 
-use crate::gar::{ensure_batch_nonempty, validate_batch, Gar, GarProperties, Resilience};
+use crate::gar::{
+    ensure_batch_nonempty, validate_batch, Aggregation, Gar, GarProperties, Resilience,
+};
 use crate::{resilience, AggregationError, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::{stats, TensorError, Vector};
@@ -186,40 +188,28 @@ impl MultiKrum {
     }
 
     /// Returns the indices Multi-Krum would select for this batch, lowest
-    /// score first. Exposed for tests, for the Bulyan implementation, and for
-    /// experiment instrumentation (e.g. counting how often a Byzantine
-    /// gradient sneaks into the selection).
+    /// score first. Exposed for tests and experiment instrumentation (e.g.
+    /// counting how often a Byzantine gradient sneaks into the selection);
+    /// the aggregation path reports the same rows in
+    /// [`crate::Aggregation::selected`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`MultiKrum::aggregate`].
     pub fn select(&self, gradients: &[Vector]) -> Result<Vec<usize>> {
         validate_batch("multi-krum", gradients)?;
-        let batch = GradientBatch::from_vectors(gradients)
-            .expect("validate_batch guarantees a non-empty, consistent batch");
-        self.select_batch(&batch)
-    }
-
-    /// Arena variant of [`MultiKrum::select`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiKrum::aggregate`].
-    pub fn select_batch(&self, batch: &GradientBatch) -> Result<Vec<usize>> {
-        let n = ensure_batch_nonempty("multi-krum", batch)?;
         // Preconditions are checked before paying for the O(n²·d) kernel.
-        self.resolve_m(n)?;
-        let distances = batch.pairwise_squared_distances();
-        self.select_with_distances(&distances)
+        self.resolve_m(gradients.len())?;
+        self.select_with_distances(&distance_matrix(gradients))
     }
 
     /// Runs the selection on an already-computed distance matrix.
     ///
-    /// This is the entry point of the sharded aggregation layer: squared L2
-    /// distances decompose into per-shard partial sums, so a sharded
-    /// deployment reduces one partial matrix per shard into the global
-    /// matrix and selects here exactly once — the selection (and therefore
-    /// the resilience guarantee) is identical to the unsharded rule.
+    /// This is the rule's one selection routine: both aggregation entry
+    /// points select here, and so does [`crate::Bulyan`]'s iterated Krum
+    /// scoring. The sharded aggregator reduces per-shard partial matrices
+    /// into the global matrix before calling in, so its selection (and
+    /// therefore the resilience guarantee) is the unsharded rule's.
     ///
     /// # Errors
     ///
@@ -247,7 +237,7 @@ impl Gar for MultiKrum {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation> {
         let n = ensure_batch_nonempty("multi-krum", batch)?;
         // Preconditions are checked before paying for the O(n²·d) kernel.
         self.resolve_m(n)?;
@@ -259,7 +249,7 @@ impl Gar for MultiKrum {
         &self,
         batch: &GradientBatch,
         distances: &DistanceMatrix,
-    ) -> Result<Vector> {
+    ) -> Result<Aggregation> {
         ensure_batch_nonempty("multi-krum", batch)?;
         if distances.n() != batch.n() {
             return Err(agg_tensor::TensorError::dim(batch.n(), distances.n()).into());
@@ -270,7 +260,8 @@ impl Gar for MultiKrum {
         if selected.iter().all(|&i| batch.row(i).iter().any(|x| !x.is_finite())) {
             return Err(AggregationError::AllGradientsCorrupt("multi-krum"));
         }
-        Ok(batch.mean_of_rows(&selected)?)
+        let output = batch.mean_of_rows(&selected)?;
+        Ok(Aggregation { output, selected: Some(selected) })
     }
 }
 

@@ -223,8 +223,9 @@ pub fn multi_krum(f: usize, m: Option<usize>, gradients: &[Vector]) -> Result<Ve
     Ok(stats::coordinate_mean(&chosen)?)
 }
 
-/// Pre-arena Bulyan (iterated Krum selection + per-coordinate second phase).
-pub fn bulyan(f: usize, gradients: &[Vector]) -> Result<Vector> {
+/// Pre-arena Bulyan selection (iterated Krum over a dense matrix), in
+/// extraction order.
+pub fn bulyan_select(f: usize, gradients: &[Vector]) -> Result<Vec<usize>> {
     validate_batch("bulyan", gradients)?;
     let n = gradients.len();
     resilience::check_bulyan(n, f)?;
@@ -238,8 +239,13 @@ pub fn bulyan(f: usize, gradients: &[Vector]) -> Result<Vector> {
         let best_pos = stats::k_smallest_indices(&scores, 1)?[0];
         selected_idx.push(active.remove(best_pos));
     }
+    Ok(selected_idx)
+}
 
-    let beta = resilience::bulyan_beta(n, f)?;
+/// Pre-arena Bulyan (iterated Krum selection + per-coordinate second phase).
+pub fn bulyan(f: usize, gradients: &[Vector]) -> Result<Vector> {
+    let selected_idx = bulyan_select(f, gradients)?;
+    let beta = resilience::bulyan_beta(gradients.len(), f)?;
     let selected: Vec<&Vector> = selected_idx.iter().map(|&i| &gradients[i]).collect();
     if selected.iter().all(|g| !g.is_finite()) {
         return Err(AggregationError::AllGradientsCorrupt("bulyan"));

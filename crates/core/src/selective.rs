@@ -8,9 +8,9 @@
 //! (sequence numbers) so that received coordinates land at the right offsets;
 //! that part is implemented in `agg-net`.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
+use crate::gar::{ensure_batch_nonempty, Aggregation, Gar, GarProperties, Resilience};
 use crate::{AggregationError, Result};
-use agg_tensor::{GradientBatch, Vector};
+use agg_tensor::GradientBatch;
 
 /// Coordinate-wise mean that skips non-finite (lost) coordinates.
 ///
@@ -40,7 +40,7 @@ impl Gar for SelectiveAverage {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation> {
         ensure_batch_nonempty("selective-average", batch)?;
         // A coordinate that was lost in every submission becomes a zero
         // update rather than poisoning the model — this matches "not caring
@@ -50,13 +50,14 @@ impl Gar for SelectiveAverage {
         if batch.rows().all(|row| row.iter().all(|x| !x.is_finite())) {
             return Err(AggregationError::AllGradientsCorrupt("selective-average"));
         }
-        Ok(out)
+        Ok(out.into())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agg_tensor::Vector;
 
     #[test]
     fn behaves_like_average_on_clean_input() {

@@ -19,30 +19,24 @@
 //!    column slice ([`agg_tensor::BatchColumns::distance_partials`]),
 //! 2. the partials are reduce-summed in **fixed shard order** into one
 //!    global [`DistanceMatrix`] (bit-reproducible under any thread count),
-//! 3. selection runs **once, globally** — identical to the unsharded rule,
-//! 4. each shard then averages (Multi-Krum) or median-windows (Bulyan) only
-//!    the selected rows of its own slice, and the per-shard outputs
-//!    concatenate into the final update.
+//! 3. the unsharded rule's `aggregate_batch_with_distances` selects **once,
+//!    globally** on that matrix and reduces the selected rows — so the
+//!    selection it reports is exactly the unsharded rule's.
 //!
-//! Coordinate-wise rules (average, median, trimmed mean, MeaMed) shard
-//! trivially — their per-column reductions are independent, so the sharded
-//! output is bit-identical to the unsharded one. The geometric median is the
-//! one rule whose fixed-point iteration is inherently global; it runs
-//! unsharded (which is, again, exact).
+//! Coordinate-wise rules (average, median, trimmed mean, MeaMed, the
+//! geometric median) run the unsharded rule: their per-column reductions
+//! are independent, so one full-width kernel call computes every shard's
+//! slice bit for bit as the shard would, without a per-shard dispatch
+//! (which measured up to ~15% slower at S = 8 on a 2-core box).
 //!
-//! The distance partials fan out over shards under rayon with a
-//! deterministic shard-order reduce; the coordinate kernels instead run in
-//! shard order and parallelise *inside* each shard over column blocks (a
-//! shard-level fan-out on top of the block-level one is pure nested-dispatch
-//! overhead — see [`ShardedAggregator::coordinate_sharded`]). Either way,
-//! for a fixed shard count the aggregate is bit-for-bit reproducible
-//! regardless of `RAYON_NUM_THREADS`.
+//! The distance partials of every shard fan out in one call of the distance
+//! kernel, followed by a deterministic shard-order reduce, so for a fixed
+//! shard count the aggregate is bit-for-bit reproducible regardless of
+//! `RAYON_NUM_THREADS`.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties};
-use crate::{resilience, AggregationError, Bulyan, GarConfig, GarKind, MultiKrum, Result};
-use agg_tensor::batch::PARALLEL_MIN_WORK;
-use agg_tensor::{DistanceMatrix, GradientBatch, ShardPlan, TensorError, Vector};
-use rayon::prelude::*;
+use crate::gar::{Aggregation, Gar, GarProperties};
+use crate::{resilience, AggregationError, GarConfig, Result};
+use agg_tensor::{DistanceMatrix, GradientBatch, ShardPlan};
 use std::ops::Range;
 
 /// A gradient aggregation rule evaluated over `S` contiguous coordinate
@@ -71,13 +65,14 @@ pub struct ShardedAggregator {
     config: GarConfig,
     shards: usize,
     /// The unsharded rule: source of [`GarProperties`], the aggregation path
-    /// for the non-decomposable geometric median, and the documentation of
-    /// what this aggregator must be equivalent to.
+    /// of the coordinate-wise rules, and the selection and reduction the
+    /// distance rules run on the shard-reduced matrix.
     inner: Box<dyn Gar>,
-    /// `false` forces the per-shard work through a plain sequential
-    /// iterator. The determinism tests run both modes and assert bit-for-bit
-    /// identical aggregates, which (together with the shard-order reduce)
-    /// pins thread-count independence.
+    /// `false` computes the distance partials one shard at a time, in shard
+    /// order, instead of in one fan-out over every shard's tiles. The
+    /// determinism tests run both modes and assert bit-for-bit identical
+    /// aggregates, which (together with the shard-order reduce) pins
+    /// thread-count independence.
     parallel: bool,
 }
 
@@ -109,9 +104,10 @@ impl ShardedAggregator {
         self.config
     }
 
-    /// Forces the per-shard work through the sequential iterator (the shard
-    /// ordering) instead of the rayon fan-out. Both modes must produce
-    /// bit-identical aggregates — the determinism test asserts exactly that.
+    /// Forces the distance partials through one kernel call per shard, in
+    /// shard order, instead of one fan-out over all shards. Both modes must
+    /// produce bit-identical aggregates — the determinism test asserts
+    /// exactly that.
     pub fn set_parallel(&mut self, parallel: bool) {
         self.parallel = parallel;
     }
@@ -121,245 +117,28 @@ impl ShardedAggregator {
         ShardPlan::new(d, self.shards).expect("constructor guarantees shards >= 1")
     }
 
-    /// Maps `run` over every shard's column range — in parallel when the
-    /// total element-op count clears [`PARALLEL_MIN_WORK`] — and returns the
-    /// per-shard results in shard order (the fan-out preserves order, so the
-    /// downstream reduce is deterministic under any thread count).
-    fn map_shards<T: Send>(
-        &self,
-        plan: &ShardPlan,
-        total_work: usize,
-        run: impl Fn(Range<usize>) -> T + Sync,
-    ) -> Vec<T> {
-        let ranges: Vec<Range<usize>> = plan.ranges().collect();
-        if self.parallel && self.shards > 1 && total_work >= PARALLEL_MIN_WORK {
-            ranges.into_par_iter().map(run).collect()
-        } else {
-            ranges.into_iter().map(run).collect()
-        }
-    }
-
-    /// Runs a per-shard coordinate kernel, each shard writing its slice of
-    /// one shared output buffer in place (the `*_into` kernel surface of
-    /// [`agg_tensor::BatchColumns`]), so assembling the full update costs no
-    /// concatenation copy.
-    ///
-    /// Deliberately sequential over shards: the column kernels already
-    /// parallelise over `PARALLEL_MIN_WORK`-gated column blocks inside each
-    /// shard, so a shard-level rayon fan-out on top adds nothing but nested
-    /// dispatch — and together with the per-shard output vectors it is what
-    /// made the coordinate-wise rules *regress* under sharding
-    /// (BENCH_shard recorded 0.95× for the median at S ∈ {2, 4, 8} before
-    /// this loop went shard-sequential and zero-copy). Per-column
-    /// reductions are independent, so running the shards in shard order is
-    /// bit-identical to any other schedule.
-    fn coordinate_sharded(
-        &self,
-        batch: &GradientBatch,
-        kernel: impl Fn(agg_tensor::BatchColumns<'_>, &mut [f32]) -> Result<()> + Sync,
-    ) -> Result<Vector> {
-        let plan = self.plan(batch.dim());
-        let mut out = vec![0.0f32; batch.dim()];
-        for range in plan.ranges() {
-            let dst = &mut out[range.clone()];
-            kernel(batch.columns(range), dst)?;
-        }
-        Ok(Vector::from(out))
-    }
-
     /// The global pair-distance matrix assembled from per-shard partials:
-    /// shard-parallel compute, shard-order reduce, one non-finite → `+∞`
-    /// mapping at the end (NaN propagates faithfully through the raw sums).
+    /// every shard's tiles computed in one fan-out of the distance kernel
+    /// (or, with [`ShardedAggregator::set_parallel`] off, one kernel call
+    /// per shard in shard order), a shard-order reduce, and one non-finite
+    /// → `+∞` mapping at the end (NaN propagates faithfully through the raw
+    /// sums).
     pub fn global_distances(&self, batch: &GradientBatch) -> DistanceMatrix {
-        let n = batch.n();
-        let plan = self.plan(batch.dim());
-        let pairs = n.saturating_sub(1) * n / 2;
-        let partials = self.map_shards(&plan, pairs.saturating_mul(batch.dim()), |range| {
-            batch.columns(range).distance_partials()
-        });
-        let mut global = DistanceMatrix::zeros(n);
+        let ranges: Vec<Range<usize>> = self.plan(batch.dim()).ranges().collect();
+        let partials = if self.parallel {
+            batch.pairwise_squared_distance_partials_per_range(&ranges)
+        } else {
+            ranges
+                .into_iter()
+                .map(|range| batch.pairwise_squared_distance_partials(range))
+                .collect()
+        };
+        let mut global = DistanceMatrix::zeros(batch.n());
         for partial in &partials {
             global.accumulate(partial);
         }
         global.map_non_finite_to_infinity();
         global
-    }
-
-    /// The worker rows the rule's selection phase picks for this batch
-    /// (computed through the sharded distance pipeline), or `None` for rules
-    /// with no selection phase.
-    ///
-    /// Exposed so tests and experiment instrumentation can assert the
-    /// decomposition's central claim: the sharded selection equals the
-    /// unsharded one.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the underlying rule's selection.
-    pub fn selected_rows(&self, batch: &GradientBatch) -> Result<Option<Vec<usize>>> {
-        match self.config.kind {
-            GarKind::Krum | GarKind::MultiKrum => {
-                let n = ensure_batch_nonempty("multi-krum", batch)?;
-                // Cheap precondition before the O(n²·d) distance pipeline.
-                resilience::check_multi_krum(n, self.config.f)?;
-                let distances = self.global_distances(batch);
-                self.selected_rows_with_distances(batch, &distances)
-            }
-            GarKind::Bulyan => {
-                let n = ensure_batch_nonempty("bulyan", batch)?;
-                resilience::check_bulyan(n, self.config.f)?;
-                let distances = self.global_distances(batch);
-                self.selected_rows_with_distances(batch, &distances)
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// [`ShardedAggregator::selected_rows`] on an already-reduced global
-    /// distance matrix — the streaming round engine's entry point, where the
-    /// matrix was accumulated incrementally as rows completed and folded in
-    /// the same shard order, so the selection is bit-identical to the batch
-    /// pipeline's.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardedAggregator::selected_rows`], plus a
-    /// dimension error when the matrix `n` disagrees with the batch.
-    pub fn selected_rows_with_distances(
-        &self,
-        batch: &GradientBatch,
-        distances: &DistanceMatrix,
-    ) -> Result<Option<Vec<usize>>> {
-        match self.config.kind {
-            GarKind::Krum | GarKind::MultiKrum => {
-                let n = ensure_batch_nonempty("multi-krum", batch)?;
-                resilience::check_multi_krum(n, self.config.f)?;
-                if distances.n() != n {
-                    return Err(TensorError::dim(n, distances.n()).into());
-                }
-                let rule = self.multi_krum_rule()?;
-                Ok(Some(rule.select_with_distances(distances)?))
-            }
-            GarKind::Bulyan => {
-                let n = ensure_batch_nonempty("bulyan", batch)?;
-                resilience::check_bulyan(n, self.config.f)?;
-                if distances.n() != n {
-                    return Err(TensorError::dim(n, distances.n()).into());
-                }
-                Ok(Some(Bulyan::new(self.config.f)?.select_with_distances(distances)?))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// The Multi-Krum instance backing the Krum / Multi-Krum decomposition
-    /// (Krum is Multi-Krum with `m = 1`, exactly as in [`crate::Krum`]).
-    fn multi_krum_rule(&self) -> Result<MultiKrum> {
-        match self.config.kind {
-            GarKind::Krum => MultiKrum::with_selection(self.config.f, 1),
-            GarKind::MultiKrum => match self.config.m {
-                Some(m) => MultiKrum::with_selection(self.config.f, m),
-                None => MultiKrum::new(self.config.f),
-            },
-            other => unreachable!("{other} has no Multi-Krum selection phase"),
-        }
-    }
-}
-
-impl ShardedAggregator {
-    /// Shared body of both [`Gar`] aggregation entry points: when `distances`
-    /// is supplied (the streaming engine's pre-accumulated global matrix) the
-    /// selection phase reads it instead of re-running the distance pipeline;
-    /// everything downstream — and every coordinate-wise arm — is the same
-    /// code either way, which is what keeps streaming == batch bit-identical.
-    fn aggregate_batch_inner(
-        &self,
-        batch: &GradientBatch,
-        distances: Option<&DistanceMatrix>,
-    ) -> Result<Vector> {
-        // Each arm restates its rule's preconditions and error policy (the
-        // twin sites live in the rule modules: trimmed_mean.rs, meamed.rs,
-        // selective.rs, multi_krum.rs, bulyan.rs) because the sharded
-        // evaluation interleaves them with the decomposition. Any drift
-        // between a rule and its arm here is caught by the
-        // tests/shard_equivalence.rs proptests, which pin Ok/Err agreement
-        // and the aggregate for every rule at several shard counts.
-        let rule = self.inner.properties().name;
-        let n = ensure_batch_nonempty(rule, batch)?;
-        let f = self.config.f;
-        match self.config.kind {
-            GarKind::Average => {
-                self.coordinate_sharded(batch, |cols, dst| Ok(cols.mean_into(None, dst)?))
-            }
-            GarKind::SelectiveAverage => {
-                let out =
-                    self.coordinate_sharded(batch, |cols, dst| Ok(cols.nan_mean_into(dst)?))?;
-                if batch.rows().all(|row| row.iter().all(|x| !x.is_finite())) {
-                    return Err(AggregationError::AllGradientsCorrupt("selective-average"));
-                }
-                Ok(out)
-            }
-            GarKind::Median => {
-                resilience::check_median("median", n, f)?;
-                self.coordinate_sharded(batch, |cols, dst| Ok(cols.median_into(None, dst)?))
-            }
-            GarKind::TrimmedMean => {
-                resilience::check_median("trimmed-mean", n, f)?;
-                if n <= 2 * f {
-                    return Err(AggregationError::NotEnoughWorkers {
-                        rule: "trimmed-mean",
-                        f,
-                        required: 2 * f + 1,
-                        actual: n,
-                    });
-                }
-                self.coordinate_sharded(batch, |cols, dst| Ok(cols.trimmed_mean_into(f, dst)?))
-            }
-            GarKind::MeaMed => {
-                resilience::check_median("meamed", n, f)?;
-                let keep = (n - f).max(1);
-                self.coordinate_sharded(batch, |cols, dst| {
-                    Ok(cols.mean_around_median_into(None, keep, dst)?)
-                })
-            }
-            // Weiszfeld's fixed-point iteration needs the full-dimension
-            // distances at every step; running it unsharded is the exact
-            // decomposition (there is nothing to fuse per shard).
-            GarKind::GeometricMedian => self.inner.aggregate_batch(batch),
-            GarKind::Krum | GarKind::MultiKrum => {
-                let selected = match distances {
-                    Some(d) => self.selected_rows_with_distances(batch, d)?,
-                    None => self.selected_rows(batch)?,
-                }
-                .expect("krum/multi-krum always have a selection phase");
-                if selected.iter().all(|&i| batch.row(i).iter().any(|x| !x.is_finite())) {
-                    return Err(AggregationError::AllGradientsCorrupt("multi-krum"));
-                }
-                self.coordinate_sharded(
-                    batch,
-                    |cols, dst| Ok(cols.mean_into(Some(&selected), dst)?),
-                )
-            }
-            GarKind::Bulyan => {
-                let selected = match distances {
-                    Some(d) => self.selected_rows_with_distances(batch, d)?,
-                    None => self.selected_rows(batch)?,
-                }
-                .expect("bulyan always has a selection phase");
-                let beta = resilience::bulyan_beta(n, f)?;
-                if selected.iter().all(|&i| batch.row(i).iter().any(|x| !x.is_finite())) {
-                    return Err(AggregationError::AllGradientsCorrupt("bulyan"));
-                }
-                self.coordinate_sharded(batch, |cols, dst| {
-                    cols.mean_around_median_into(Some(&selected), beta, dst).map_err(|e| match e {
-                        TensorError::EmptyInput(_) => {
-                            AggregationError::AllGradientsCorrupt("bulyan")
-                        }
-                        other => other.into(),
-                    })
-                })
-            }
-        }
     }
 }
 
@@ -368,23 +147,35 @@ impl Gar for ShardedAggregator {
         self.inner.properties()
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
-        self.aggregate_batch_inner(batch, None)
+    /// Distance rules reduce the shard partials into the global matrix and
+    /// hand it to the unsharded rule, which selects once and reduces the
+    /// selected rows. Coordinate rules — and a batch below a distance
+    /// rule's floor, which the rule refuses before any distance work, with
+    /// its own error — go straight to the unsharded rule.
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation> {
+        let kind = self.config.kind;
+        if kind.uses_distances() && batch.n() >= resilience::resilience_floor(kind, self.config.f) {
+            self.inner.aggregate_batch_with_distances(batch, &self.global_distances(batch))
+        } else {
+            self.inner.aggregate_batch(batch)
+        }
     }
 
     fn aggregate_batch_with_distances(
         &self,
         batch: &GradientBatch,
         distances: &DistanceMatrix,
-    ) -> Result<Vector> {
-        self.aggregate_batch_inner(batch, Some(distances))
+    ) -> Result<Aggregation> {
+        self.inner.aggregate_batch_with_distances(batch, distances)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GarKind;
     use agg_tensor::rng::{gaussian_vector, seeded_rng};
+    use agg_tensor::Vector;
 
     fn random_batch(n: usize, d: usize, seed: u64) -> GradientBatch {
         let mut rng = seeded_rng(seed);
@@ -426,9 +217,9 @@ mod tests {
         batch.push_row(&vec![1e6; 65]).unwrap();
         let config = GarConfig::new(GarKind::MultiKrum, 2);
         let sharded = ShardedAggregator::new(config, 4).unwrap();
-        let selected = sharded.selected_rows(&batch).unwrap().unwrap();
-        let unsharded = MultiKrum::new(2).unwrap().select_batch(&batch).unwrap();
-        assert_eq!(selected, unsharded);
+        let selected = sharded.aggregate_batch(&batch).unwrap().selected.unwrap();
+        let unsharded = crate::MultiKrum::new(2).unwrap().aggregate_batch(&batch).unwrap().selected;
+        assert_eq!(Some(selected.clone()), unsharded);
         assert!(!selected.contains(&12), "the outlier must not be selected");
     }
 
@@ -436,7 +227,7 @@ mod tests {
     fn coordinate_rules_have_no_selection_phase() {
         let batch = random_batch(5, 16, 1);
         let sharded = ShardedAggregator::new(GarConfig::new(GarKind::Median, 1), 3).unwrap();
-        assert_eq!(sharded.selected_rows(&batch).unwrap(), None);
+        assert_eq!(sharded.aggregate_batch(&batch).unwrap().selected, None);
     }
 
     #[test]
@@ -448,9 +239,10 @@ mod tests {
             let parallel = sharded.aggregate_batch(&batch).unwrap();
             sharded.set_parallel(false);
             let sequential = sharded.aggregate_batch(&batch).unwrap();
+            assert_eq!(parallel.selected, sequential.selected, "{kind}");
             assert_eq!(
-                parallel.as_slice(),
-                sequential.as_slice(),
+                parallel.output.as_slice(),
+                sequential.output.as_slice(),
                 "{kind}: shard-parallel aggregation must be bit-identical to shard order"
             );
         }
@@ -472,7 +264,7 @@ mod tests {
             let streamed =
                 sharded.aggregate_batch_with_distances(&batch, &acc.matrix(&keep)).unwrap();
             let reference = sharded.aggregate_batch(&batch).unwrap();
-            assert_eq!(streamed.as_slice(), reference.as_slice(), "{kind}");
+            assert_eq!(streamed, reference, "{kind}");
         }
     }
 
@@ -491,7 +283,7 @@ mod tests {
         let matrix = sharded.global_distances(&batch);
         let with = sharded.aggregate_batch_with_distances(&batch, &matrix).unwrap();
         let without = sharded.aggregate_batch(&batch).unwrap();
-        assert_eq!(with.as_slice(), without.as_slice());
+        assert_eq!(with, without);
     }
 
     #[test]
@@ -508,9 +300,13 @@ mod tests {
     fn more_shards_than_coordinates_still_aggregates() {
         let batch = random_batch(9, 3, 5);
         let sharded = ShardedAggregator::new(GarConfig::new(GarKind::MultiKrum, 2), 7).unwrap();
-        let out = sharded.aggregate_batch(&batch).unwrap();
-        let reference =
-            GarConfig::new(GarKind::MultiKrum, 2).build().unwrap().aggregate_batch(&batch).unwrap();
+        let out = sharded.aggregate_batch(&batch).unwrap().output;
+        let reference = GarConfig::new(GarKind::MultiKrum, 2)
+            .build()
+            .unwrap()
+            .aggregate_batch(&batch)
+            .unwrap()
+            .output;
         for c in 0..3 {
             assert!((out[c] - reference[c]).abs() <= 1e-6 * reference[c].abs().max(1.0));
         }

@@ -27,7 +27,7 @@
 //! contributing groups no longer clear the root rule's floor, exactly like
 //! the flat path's refusal below `resilience_floor`.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties};
+use crate::gar::{ensure_batch_nonempty, Aggregation, Gar, GarProperties};
 use crate::{resilience, AggregationError, GarConfig, GarKind, Result};
 use agg_tensor::batch::PARALLEL_MIN_WORK;
 use agg_tensor::sortnet::MAX_NETWORK_N;
@@ -85,8 +85,24 @@ pub struct GroupOutput {
     pub group: usize,
     /// The batch row indices the group reduced, in ascending order.
     pub members: Vec<usize>,
+    /// The batch rows the group rule's own selection kept, in pick order —
+    /// every member when the group rule has no selection phase (e.g. Median
+    /// groups).
+    pub selected: Vec<usize>,
     /// The group GAR's aggregate over those rows.
     pub output: Vector,
+}
+
+/// The batch rows behind a root selection: for every output the root picked
+/// (`picked` indexes `outputs`), the rows that output's group rule selected,
+/// ascending. A row counts only when both levels kept it: a root-selected
+/// group may itself have excluded an outlier member, and that member did not
+/// touch the applied update. This is the tree tier's selection feedback.
+pub fn selected_members(outputs: &[&GroupOutput], picked: &[usize]) -> Vec<usize> {
+    let mut rows: Vec<usize> =
+        picked.iter().flat_map(|&i| outputs[i].selected.iter().copied()).collect();
+    rows.sort_unstable();
+    rows
 }
 
 /// The per-group stage of a tree round: the contributing groups' outputs (in
@@ -230,8 +246,17 @@ impl TreeAggregator {
             for &row in members {
                 scratch.push_row(batch.row(row))?;
             }
-            let output = self.group_rule.aggregate_batch(&scratch)?;
-            Ok(GroupOutput { group: *gid, members: members.clone(), output })
+            let aggregation = self.group_rule.aggregate_batch(&scratch)?;
+            let selected = match aggregation.selected {
+                Some(rows) => rows.into_iter().map(|r| members[r]).collect(),
+                None => members.clone(),
+            };
+            Ok(GroupOutput {
+                group: *gid,
+                members: members.clone(),
+                selected,
+                output: aggregation.output,
+            })
         };
         let total_work = batch.n().saturating_mul(batch.dim());
         let results: Vec<Result<GroupOutput>> =
@@ -247,13 +272,15 @@ impl TreeAggregator {
     /// Runs the root GAR over already-computed group outputs (the engine
     /// calls this after carrying each output over its group→root link, so
     /// outputs lost on the wire degrade exactly like an excluded group).
+    /// The returned selection indexes `outputs`; [`selected_members`] maps
+    /// it back to batch rows.
     ///
     /// # Errors
     ///
     /// Returns [`AggregationError::NotEnoughWorkers`] (naming the root rule)
     /// when fewer outputs remain than the root floor, plus any root-rule
     /// aggregation error.
-    pub fn root_aggregate(&self, outputs: &[Vector]) -> Result<Vector> {
+    pub fn root_aggregate(&self, outputs: &[Vector]) -> Result<Aggregation> {
         let required = self.config.root_floor();
         if outputs.len() < required {
             return Err(AggregationError::NotEnoughWorkers {
@@ -269,7 +296,9 @@ impl TreeAggregator {
 
     /// Full tree round over an explicit row→group assignment (`groups[i]` is
     /// the group id of batch row `i`), the entry point for engines whose
-    /// quorum/churn compaction leaves groups ragged.
+    /// quorum/churn compaction leaves groups ragged. The selection is the
+    /// batch rows behind the root's pick ([`selected_members`]), `None` when
+    /// the root rule has no selection phase.
     ///
     /// # Errors
     ///
@@ -281,7 +310,7 @@ impl TreeAggregator {
         &self,
         batch: &GradientBatch,
         groups: &[usize],
-    ) -> Result<Vector> {
+    ) -> Result<Aggregation> {
         ensure_batch_nonempty(self.group_rule.properties().name, batch)?;
         let buckets = self.buckets(batch, groups)?;
         resilience::check_tree(
@@ -291,81 +320,15 @@ impl TreeAggregator {
             self.config.root.f,
             buckets.iter().map(|(_, members)| members.len()),
         )?;
-        let round = self.group_outputs(batch, groups)?;
-        let outputs: Vec<Vector> = round.outputs.into_iter().map(|g| g.output).collect();
-        self.root_aggregate(&outputs)
-    }
-
-    /// Runs `level`'s selection phase over `batch`, returning the picked row
-    /// indices, or `None` when the level's rule has no selection phase.
-    fn level_selection(level: &GarConfig, batch: &GradientBatch) -> Result<Option<Vec<usize>>> {
-        use crate::{Bulyan, MultiKrum};
-        let f = level.f;
-        let picked = match level.kind {
-            GarKind::Krum => MultiKrum::with_selection(f, 1)?.select_batch(batch)?,
-            GarKind::MultiKrum => match level.m {
-                Some(m) => MultiKrum::with_selection(f, m)?,
-                None => MultiKrum::new(f)?,
-            }
-            .select_batch(batch)?,
-            GarKind::Bulyan => Bulyan::new(f)?.select_batch(batch)?,
-            _ => return Ok(None),
-        };
-        Ok(Some(picked))
-    }
-
-    /// The batch row indices that contributed to the root rule's selection,
-    /// ascending (`None` for non-selecting root rules) — the tree tier's
-    /// selection-feedback signal. A row is "selected" iff its group's output
-    /// made the root selection AND the group rule's own selection phase kept
-    /// the row (all live members count when the group rule has no selection
-    /// phase, e.g. Median groups). The second condition matters for
-    /// attribution: a root-selected group may itself have excluded an
-    /// outlier member, and that member did not touch the applied update.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TreeAggregator::aggregate_batch_grouped`].
-    pub fn selected_rows(
-        &self,
-        batch: &GradientBatch,
-        groups: &[usize],
-    ) -> Result<Option<Vec<usize>>> {
-        let selecting =
-            matches!(self.config.root.kind, GarKind::Krum | GarKind::MultiKrum | GarKind::Bulyan);
-        if !selecting {
-            return Ok(None);
-        }
-        let round = self.group_outputs(batch, groups)?;
-        resilience::check_tree(
-            self.config.group.kind,
-            self.config.group.f,
-            self.config.root.kind,
-            self.config.root.f,
-            round
-                .outputs
-                .iter()
-                .map(|g| g.members.len())
-                .chain(round.skipped.iter().map(|&(_, size)| size)),
-        )?;
-        let outputs: Vec<Vector> = round.outputs.iter().map(|g| g.output.clone()).collect();
-        let output_batch = GradientBatch::from_vectors(&outputs)?;
-        let picked = Self::level_selection(&self.config.root, &output_batch)?
-            .expect("selecting root rules matched above");
-        let mut rows: Vec<usize> = Vec::new();
-        for i in picked {
-            let group = &round.outputs[i];
-            let mut scratch = GradientBatch::with_capacity(batch.dim(), group.members.len());
-            for &row in &group.members {
-                scratch.push_row(batch.row(row))?;
-            }
-            match Self::level_selection(&self.config.group, &scratch)? {
-                Some(inner) => rows.extend(inner.into_iter().map(|r| group.members[r])),
-                None => rows.extend(group.members.iter().copied()),
-            }
-        }
-        rows.sort_unstable();
-        Ok(Some(rows))
+        let mut round = self.group_outputs(batch, groups)?;
+        let outputs: Vec<Vector> =
+            round.outputs.iter_mut().map(|g| std::mem::take(&mut g.output)).collect();
+        let root = self.root_aggregate(&outputs)?;
+        let groups: Vec<&GroupOutput> = round.outputs.iter().collect();
+        Ok(Aggregation {
+            output: root.output,
+            selected: root.selected.map(|picked| selected_members(&groups, &picked)),
+        })
     }
 }
 
@@ -377,7 +340,7 @@ impl Gar for TreeAggregator {
         self.root_rule.properties()
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation> {
         ensure_batch_nonempty(self.group_rule.properties().name, batch)?;
         let plan = self.plan(batch.n())?;
         let groups: Vec<usize> = (0..batch.n()).map(|w| plan.group_of(w)).collect();
@@ -437,7 +400,7 @@ mod tests {
             group_size: 32,
         })
         .unwrap();
-        let out = tree.aggregate_batch(&batch).unwrap();
+        let out = tree.aggregate_batch(&batch).unwrap().output;
         for c in 0..16 {
             assert!(out[c].abs() < 1.0, "coordinate {c} contaminated: {}", out[c]);
         }
@@ -531,8 +494,8 @@ mod tests {
             tree.set_parallel(false);
             let sequential = tree.aggregate_batch(&batch).unwrap();
             assert_eq!(
-                parallel.as_slice(),
-                sequential.as_slice(),
+                parallel.output.as_slice(),
+                sequential.output.as_slice(),
                 "{kind}: group-parallel aggregation must be bit-identical to group order"
             );
         }
@@ -552,7 +515,7 @@ mod tests {
             .unwrap();
             let flat = GarConfig::new(kind, 4).build().unwrap().aggregate_batch(&batch).unwrap();
             let treed = tree.aggregate_batch(&batch).unwrap();
-            assert_eq!(treed.as_slice(), flat.as_slice(), "{kind}");
+            assert_eq!(treed.output.as_slice(), flat.output.as_slice(), "{kind}");
         }
     }
 
@@ -578,7 +541,7 @@ mod tests {
         })
         .unwrap();
         let groups: Vec<usize> = (0..16).map(|w| w / 4).collect();
-        let selected = tree.selected_rows(&batch, &groups).unwrap().unwrap();
+        let selected = tree.aggregate_batch_grouped(&batch, &groups).unwrap().selected.unwrap();
         assert!(!selected.is_empty());
         for w in 4..8 {
             assert!(!selected.contains(&w), "captured group member {w} selected at the root");
@@ -590,7 +553,7 @@ mod tests {
             group_size: 4,
         })
         .unwrap();
-        assert_eq!(flat_root.selected_rows(&batch, &groups).unwrap(), None);
+        assert_eq!(flat_root.aggregate_batch_grouped(&batch, &groups).unwrap().selected, None);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! cited in the paper's related work), included as an additional weak
 //! baseline GAR.
 
-use crate::gar::{ensure_batch_nonempty, Gar, GarProperties, Resilience};
+use crate::gar::{ensure_batch_nonempty, Aggregation, Gar, GarProperties, Resilience};
 use crate::{resilience, AggregationError, Result};
-use agg_tensor::{GradientBatch, Vector};
+use agg_tensor::GradientBatch;
 
 /// Coordinate-wise `f`-trimmed mean.
 ///
@@ -46,7 +46,7 @@ impl Gar for TrimmedMean {
         }
     }
 
-    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Vector> {
+    fn aggregate_batch(&self, batch: &GradientBatch) -> Result<Aggregation> {
         let n = ensure_batch_nonempty("trimmed-mean", batch)?;
         resilience::check_median("trimmed-mean", n, self.f)?;
         if n <= 2 * self.f {
@@ -61,13 +61,14 @@ impl Gar for TrimmedMean {
         // network path canonicalises them past the kept window); a column
         // left with too few values falls back to the median of whatever
         // finite values remain.
-        Ok(batch.coordinate_trimmed_mean(self.f)?)
+        Ok(batch.coordinate_trimmed_mean(self.f)?.into())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agg_tensor::Vector;
 
     #[test]
     fn trims_extremes_per_coordinate() {

@@ -6,7 +6,9 @@
 //! dimensions and declared `f` — including batches carrying NaN/±∞
 //! gradients, where the paper's non-finite policy must hold: corrupt
 //! gradients map to `+∞` distance and are never selected while enough finite
-//! candidates exist.
+//! candidates exist. Krum, Multi-Krum and Bulyan must also report the
+//! reference's selection, and their output must be their reduction over
+//! exactly the rows they report.
 //!
 //! The pinning is up to ties: where the pre-arena kernels themselves were
 //! order- or partition-dependent (values exactly equidistant from a median,
@@ -14,7 +16,7 @@
 //! kernels choose deterministically instead, and continuous random inputs
 //! never land on those measure-zero sets.
 
-use agg_core::{reference, GarConfig, GarKind, GradientBatch, MultiKrum};
+use agg_core::{reference, resilience, Aggregation, GarConfig, GarKind, GradientBatch, MultiKrum};
 use agg_tensor::{stats, Vector};
 use proptest::prelude::*;
 
@@ -54,9 +56,10 @@ fn assert_vectors_close(kind: GarKind, actual: &Vector, expected: &Vector) {
     }
 }
 
-/// Runs every rule through both paths and checks they agree on success and
-/// on the produced aggregate.
+/// Runs every rule through both paths and checks they agree on success, on
+/// the produced aggregate and on the selection.
 fn assert_all_rules_match(f: usize, gradients: &[Vector]) {
+    let batch = GradientBatch::from_vectors(gradients).expect("consistent rows");
     for kind in GarKind::ALL {
         let live = GarConfig::new(kind, f).build().expect("buildable rule");
         let arena = live.aggregate(gradients);
@@ -66,6 +69,47 @@ fn assert_all_rules_match(f: usize, gradients: &[Vector]) {
             (Err(_), Err(_)) => {}
             (a, b) => panic!("{kind}: arena {a:?} disagrees with reference {b:?} on success"),
         }
+        if let Ok(aggregation) = live.aggregate_batch(&batch) {
+            assert_selection_contract(kind, f, gradients, &batch, aggregation);
+        }
+    }
+}
+
+/// The selection contract of the one aggregation path: coordinate-wise
+/// rules report no selection; Krum, Multi-Krum and Bulyan report the
+/// reference oracle's selection, and their output is their own reduction
+/// over exactly those rows, bit for bit — NaN rows included.
+fn assert_selection_contract(
+    kind: GarKind,
+    f: usize,
+    gradients: &[Vector],
+    batch: &GradientBatch,
+    aggregation: Aggregation,
+) {
+    let expected = match kind {
+        GarKind::Krum => reference::multi_krum_select(f, Some(1), gradients),
+        GarKind::MultiKrum => reference::multi_krum_select(f, None, gradients),
+        GarKind::Bulyan => reference::bulyan_select(f, gradients),
+        _ => {
+            assert_eq!(aggregation.selected, None, "{kind}: coordinate rules select nothing");
+            return;
+        }
+    };
+    let selected = aggregation.selected.expect("selection rules report their rows");
+    assert_eq!(Some(&selected), expected.as_ref().ok(), "{kind}: selection diverged");
+    let reduced = match kind {
+        GarKind::Bulyan => {
+            let beta = resilience::bulyan_beta(batch.n(), f).expect("valid beta");
+            batch.mean_around_median_of_rows(&selected, beta)
+        }
+        _ => batch.mean_of_rows(&selected),
+    }
+    .expect("the selected rows reduce");
+    for (c, (&a, &b)) in aggregation.output.as_slice().iter().zip(reduced.as_slice()).enumerate() {
+        assert!(
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+            "{kind}: coordinate {c} is not the reduction over the selection: {a} vs {b}"
+        );
     }
 }
 
@@ -127,10 +171,15 @@ proptest! {
         let dense = reference::distance_matrix(&gs);
         for (i, dense_row) in dense.iter().enumerate() {
             for (j, &dense_dist) in dense_row.iter().enumerate() {
-                // Same inner kernel on the same operands, each pair computed
-                // once: the expansion must agree exactly, including the +∞
-                // mapping of non-finite distances.
-                prop_assert_eq!(triangular.get(i, j), dense_dist);
+                // Each pair computed once by the blocked sixteen-lane kernel
+                // against the reference's four-lane full-row kernel: equal
+                // up to summation order, with the +∞ mapping of non-finite
+                // distances exact.
+                prop_assert!(
+                    close(triangular.get(i, j), dense_dist),
+                    "({}, {}): {} vs {}", i, j, triangular.get(i, j), dense_dist
+                );
+                prop_assert_eq!(triangular.get(i, j).is_finite(), dense_dist.is_finite());
                 prop_assert_eq!(triangular.get(i, j), triangular.get(j, i));
             }
         }

@@ -11,7 +11,8 @@ use crate::server::ParameterServer;
 use crate::streaming::RoundPipeline;
 use crate::worker::{Worker, WorkerRole};
 use crate::{PsError, Result};
-use agg_attacks::{Attack, AttackContext, AttackKind, ChurnDirective};
+use agg_attacks::{Attack, AttackContext, ChurnDirective};
+use agg_core::tree::selected_members;
 use agg_core::{resilience, GarConfig};
 use agg_data::corruption::corrupt;
 use agg_data::{Dataset, MiniBatchSampler};
@@ -482,13 +483,6 @@ impl SyncTrainingEngine {
         // tier. Quorum accounting and the adversary's declared-f knowledge
         // both see this figure.
         let declared_f = self.config.tree.map_or(self.config.gar.f, |tree| tree.composed_max_f());
-        // Selection feedback costs one selection pass per round (free when
-        // the streaming matrix is available); run it only when someone reads
-        // it: the Byzantine-selection counter or the adaptive adversary.
-        let wants_selection = self.config.gar.kind.uses_distances()
-            && (elastic
-                || self.config.byzantine_count > 0
-                || matches!(self.config.attack, AttackKind::Adaptive));
 
         for step in 0..self.config.max_steps {
             let model_bytes = cost.payload_bytes(self.actual_dimension);
@@ -507,7 +501,9 @@ impl SyncTrainingEngine {
                 let needs_merge = adaptive_churn || self.reputation.is_some();
                 let merged_plan = if needs_merge {
                     let mut plan = fault_plan.clone();
-                    if let Some(ledger) = &mut self.reputation {
+                    // Taken out for the block so the floor gate can borrow
+                    // the engine; put back before anything else reads it.
+                    if let Some(mut ledger) = self.reputation.take() {
                         // Readmissions first: a lapsed quarantine rejoins on
                         // probation this round (epoch-fenced like any other
                         // rejoiner), so its stale first-round packets are by
@@ -536,39 +532,13 @@ impl SyncTrainingEngine {
                             }
                             let was_live = live_sim[candidate];
                             live_sim[candidate] = false;
-                            let floor_ok = match (&self.tree_plan, &self.config.tree) {
-                                (Some(tree_plan), Some(tree)) => {
-                                    let mut live_sizes = vec![0usize; tree_plan.group_count()];
-                                    for (w, &live) in live_sim.iter().enumerate() {
-                                        if live {
-                                            live_sizes[tree_plan.group_of(w)] += 1;
-                                        }
-                                    }
-                                    resilience::check_tree(
-                                        tree.group.kind,
-                                        tree.group.f,
-                                        tree.root.kind,
-                                        tree.root.f,
-                                        live_sizes,
-                                    )
-                                    .is_ok()
-                                }
-                                _ => {
-                                    // A quarantined slot no longer counts
-                                    // against the adversary's budget, so the
-                                    // floor re-derives from the suspicion-
-                                    // aware effective f.
-                                    let f_eff = self
-                                        .config
-                                        .gar
-                                        .f
-                                        .saturating_sub(ledger.quarantined_count() + 1);
-                                    let live_after = live_sim.iter().filter(|&&l| l).count();
-                                    live_after
-                                        >= resilience::resilience_floor(self.config.gar.kind, f_eff)
-                                }
-                            };
-                            if !floor_ok {
+                            // A quarantined slot no longer counts against
+                            // the adversary's budget, so the floor
+                            // re-derives from the suspicion-aware
+                            // effective f.
+                            let f_eff =
+                                self.config.gar.f.saturating_sub(ledger.quarantined_count() + 1);
+                            if !self.floor_ok(&live_sim, f_eff) {
                                 live_sim[candidate] = was_live;
                                 continue;
                             }
@@ -576,6 +546,7 @@ impl SyncTrainingEngine {
                             ledger.begin_quarantine(step, candidate);
                             worker_stats[candidate].quarantines += 1;
                         }
+                        self.reputation = Some(ledger);
                     }
                     if adaptive_churn {
                         let ctx = AttackContext {
@@ -661,37 +632,15 @@ impl SyncTrainingEngine {
                 // resilience proof, so the server refuses the round and
                 // degrades per policy instead of aggregating on borrowed
                 // assumptions.
-                let floor_ok = match (&self.tree_plan, &self.config.tree) {
-                    (Some(plan), Some(tree)) => {
-                        let mut live_sizes = vec![0usize; plan.group_count()];
-                        for w in 0..self.workers.len() {
-                            if self.membership.health(w).is_live() {
-                                live_sizes[plan.group_of(w)] += 1;
-                            }
-                        }
-                        resilience::check_tree(
-                            tree.group.kind,
-                            tree.group.f,
-                            tree.root.kind,
-                            tree.root.f,
-                            live_sizes,
-                        )
-                        .is_ok()
-                    }
-                    _ => {
-                        // Quarantined slots no longer count against the
-                        // adversary's budget: the floor re-derives each
-                        // transition from the suspicion-aware effective f.
-                        let f_eff = match &self.reputation {
-                            Some(ledger) => {
-                                self.config.gar.f.saturating_sub(ledger.quarantined_count())
-                            }
-                            None => self.config.gar.f,
-                        };
-                        self.membership.satisfies_floor(self.config.gar.kind, f_eff)
-                    }
-                };
-                if !floor_ok {
+                // Quarantined slots no longer count against the adversary's
+                // budget: the floor re-derives each transition from the
+                // suspicion-aware effective f.
+                let f_eff = self.config.gar.f.saturating_sub(
+                    self.reputation.as_ref().map_or(0, ReputationLedger::quarantined_count),
+                );
+                let live: Vec<bool> =
+                    (0..self.workers.len()).map(|w| self.membership.health(w).is_live()).collect();
+                if !self.floor_ok(&live, f_eff) {
                     refused += 1;
                     if self.config.refusal == RefusalPolicy::HoldLastRound {
                         // The held model is still broadcast, so the clock
@@ -973,10 +922,13 @@ impl SyncTrainingEngine {
             // mode only): the legs run in parallel, so the round pays the
             // slowest one.
             let mut tree_wire_wait = 0.0f64;
+            // Arena rows whose group output a tree leg lost: the wire, not
+            // the rule, left them out of the round.
+            let mut lost_rows = Vec::new();
             let round_result = if self.pipeline.arena().is_empty() {
                 Err(PsError::Aggregation("no submissions survived the transport".into()))
             } else if let Some(groups) = &tree_groups {
-                self.apply_tree_round(step, groups, dim_scale, &mut tree_wire_wait)
+                self.apply_tree_round(step, groups, dim_scale, &mut tree_wire_wait, &mut lost_rows)
             } else {
                 match &distances {
                     Some(distances) => self
@@ -996,38 +948,28 @@ impl SyncTrainingEngine {
                         ),
                     };
                     aggregation_time = kernel_sec + cost.update_time(self.actual_dimension);
-                    if wants_selection {
-                        let selection = match &tree_groups {
-                            Some(groups) => {
-                                self.server.tree_selected_rows(self.pipeline.arena(), groups)?
-                            }
-                            None => self
-                                .server
-                                .selected_rows(self.pipeline.arena(), distances.as_ref())?,
-                        };
-                        if let Some(rows) = selection {
-                            if rows
-                                .iter()
-                                .any(|&r| self.workers[kept_slots[r]].role().is_byzantine())
-                            {
-                                byzantine_selected_rounds += 1;
-                            }
-                            // The adversary's feedback channel sees worker
-                            // identities, so map compacted rows back to
-                            // their slots.
-                            if self.reputation.is_some() {
-                                // Exclusion history for the next fold: every
-                                // kept row the selection passed over.
-                                for &slot in &kept_slots {
-                                    prev_excluded[slot] = true;
-                                }
-                                for &r in &rows {
-                                    prev_excluded[kept_slots[r]] = false;
-                                }
-                            }
-                            previous_selection =
-                                Some(rows.iter().map(|&r| kept_slots[r]).collect());
+                    // Selection feedback is the selection of the round just
+                    // applied, as arena rows.
+                    if let Some(rows) = outcome.selected {
+                        if rows.iter().any(|&r| self.workers[kept_slots[r]].role().is_byzantine()) {
+                            byzantine_selected_rounds += 1;
                         }
+                        // The adversary's feedback channel sees worker
+                        // identities, so map compacted rows back to their
+                        // slots.
+                        if self.reputation.is_some() {
+                            // Exclusion history for the next fold: every kept
+                            // row the selection passed over, except rows a
+                            // tree leg lost, which count as neither selected
+                            // nor excluded.
+                            for &slot in &kept_slots {
+                                prev_excluded[slot] = true;
+                            }
+                            for &r in rows.iter().chain(&lost_rows) {
+                                prev_excluded[kept_slots[r]] = false;
+                            }
+                        }
+                        previous_selection = Some(rows.iter().map(|&r| kept_slots[r]).collect());
                     }
                 }
                 Err(PsError::Aggregation(_)) => {
@@ -1076,32 +1018,73 @@ impl SyncTrainingEngine {
     /// (chaos, retransmit and all — a dropped output simply leaves the root
     /// with one fewer input), then the root rule and the optimizer step.
     /// `wire_wait` receives the slowest leg's simulated transfer time; the
-    /// measured aggregation wall time covers both kernel stages.
+    /// measured aggregation wall time covers both kernel stages. The
+    /// outcome's selection is mapped from the root's pick over the
+    /// *delivered* outputs through each group's own selection to arena rows;
+    /// `lost_rows` receives the members of groups whose output a leg lost.
     fn apply_tree_round(
         &mut self,
         step: u64,
         groups: &[usize],
         dim_scale: f64,
         wire_wait: &mut f64,
+        lost_rows: &mut Vec<usize>,
     ) -> Result<crate::server::RoundOutcome> {
         let group_stage = Instant::now();
         let round = self.server.tree_group_outputs(self.pipeline.arena(), groups)?;
         let group_wall_sec = group_stage.elapsed().as_secs_f64();
         let total_workers = self.workers.len();
         let mut delivered = Vec::with_capacity(round.outputs.len());
+        let mut delivered_groups = Vec::with_capacity(round.outputs.len());
         for output in &round.outputs {
             let link = &mut self.tree_links[output.group];
             let outcome = link
                 .transfer((total_workers + output.group) as u32, step, &output.output)
                 .map_err(PsError::from)?;
             *wire_wait = wire_wait.max(outcome.time_sec * dim_scale);
-            if let Some(gradient) = outcome.gradient {
-                delivered.push(gradient);
+            match outcome.gradient {
+                Some(gradient) => {
+                    delivered.push(gradient);
+                    delivered_groups.push(output);
+                }
+                None => lost_rows.extend(&output.members),
             }
         }
         let mut outcome = self.server.apply_round_tree_outputs(&delivered)?;
         outcome.aggregation_wall_sec += group_wall_sec;
+        outcome.selected =
+            outcome.selected.map(|picked| selected_members(&delivered_groups, &picked));
         Ok(outcome)
+    }
+
+    /// Whether a live set (one flag per worker) seats the run's resilience
+    /// floor: the flat rule's `g(f_eff)`, or in tree mode the composed
+    /// two-level bound over the live partition, whose per-level budgets are
+    /// fixed by the tree configuration (`f_eff` is unused there). The
+    /// quarantine gate and the round gate both ask here.
+    fn floor_ok(&self, live: &[bool], f_eff: usize) -> bool {
+        match (&self.tree_plan, &self.config.tree) {
+            (Some(plan), Some(tree)) => {
+                let mut live_sizes = vec![0usize; plan.group_count()];
+                for (w, &is_live) in live.iter().enumerate() {
+                    if is_live {
+                        live_sizes[plan.group_of(w)] += 1;
+                    }
+                }
+                resilience::check_tree(
+                    tree.group.kind,
+                    tree.group.f,
+                    tree.root.kind,
+                    tree.root.f,
+                    live_sizes,
+                )
+                .is_ok()
+            }
+            _ => {
+                live.iter().filter(|&&is_live| is_live).count()
+                    >= resilience::resilience_floor(self.config.gar.kind, f_eff)
+            }
+        }
     }
 
     /// Evaluates test accuracy at the current parameters and records a trace

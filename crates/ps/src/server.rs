@@ -9,9 +9,9 @@
 //! executions". [`ParameterServer::handle_remote_write`] models that patch.
 
 use crate::{PsError, Result};
+use agg_core::gar::validate_batch;
 use agg_core::{
-    Bulyan, Gar, GarConfig, GarKind, MultiKrum, ShardedAggregator, TreeAggregator, TreeConfig,
-    TreeRound,
+    Aggregation, Gar, GarConfig, ShardedAggregator, TreeAggregator, TreeConfig, TreeRound,
 };
 use agg_nn::optim::{Optimizer, OptimizerKind, Regularization};
 use agg_nn::schedule::LearningRate;
@@ -19,7 +19,7 @@ use agg_tensor::{DistanceMatrix, GradientBatch, Vector};
 use std::time::Instant;
 
 /// Result of one aggregation + update round at the server.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundOutcome {
     /// Wall-clock seconds the aggregation kernel took (measured for real).
     pub aggregation_wall_sec: f64,
@@ -27,6 +27,11 @@ pub struct RoundOutcome {
     pub learning_rate: f32,
     /// Model-update step index after the update.
     pub step: u64,
+    /// The rows the applied rule's selection kept (`None` for rules without
+    /// a selection phase): batch rows for the batch and one-shot tree
+    /// rounds, indices into the submitted outputs for
+    /// [`ParameterServer::apply_round_tree_outputs`].
+    pub selected: Option<Vec<usize>>,
 }
 
 /// The synchronous parameter server.
@@ -235,8 +240,8 @@ impl ParameterServer {
                 "apply_round_tree_outputs requires an installed tree tier".into(),
             )
         })?;
-        let aggregated = tree.root_aggregate(outputs).map_err(PsError::from)?;
-        self.finish_round(aggregated, start)
+        let aggregation = tree.root_aggregate(outputs).map_err(PsError::from)?;
+        self.finish_round(aggregation, start)
     }
 
     /// One-shot hierarchical round: both tree stages back to back on a
@@ -256,13 +261,15 @@ impl ParameterServer {
         let tree = self.tree.as_ref().ok_or_else(|| {
             PsError::InvalidConfig("apply_round_tree requires an installed tree tier".into())
         })?;
-        let aggregated = tree.aggregate_batch_grouped(batch, groups).map_err(PsError::from)?;
-        self.finish_round(aggregated, start)
+        let aggregation = tree.aggregate_batch_grouped(batch, groups).map_err(PsError::from)?;
+        self.finish_round(aggregation, start)
     }
 
     /// Tree-tier counterpart of [`ParameterServer::selected_rows`]: the batch
-    /// rows whose *groups* the root rule's selection phase picks (`None` when
-    /// the root rule has no selection phase). A pure read.
+    /// rows behind the root rule's selection when every group output reaches
+    /// the root (`None` when the root rule has no selection phase). A pure
+    /// read over the one-shot tree round; the engine instead maps the
+    /// selection of the round it applied.
     ///
     /// # Errors
     ///
@@ -276,7 +283,7 @@ impl ParameterServer {
         let tree = self.tree.as_ref().ok_or_else(|| {
             PsError::InvalidConfig("tree_selected_rows requires an installed tree tier".into())
         })?;
-        tree.selected_rows(batch, groups).map_err(PsError::from)
+        Ok(tree.aggregate_batch_grouped(batch, groups).map_err(PsError::from)?.selected)
     }
 
     /// Disables the TensorFlow vulnerability patch (test/demonstration only).
@@ -304,7 +311,7 @@ impl ParameterServer {
     }
 
     /// Aggregates one round of submitted gradients and applies the optimizer
-    /// step. Returns the measured aggregation time.
+    /// step. Returns the measured aggregation time and the rule's selection.
     ///
     /// # Errors
     ///
@@ -312,9 +319,9 @@ impl ParameterServer {
     /// (e.g. not enough gradients for the declared `f`), and [`PsError::Model`]
     /// when the optimizer step fails.
     pub fn apply_round(&mut self, gradients: &[Vector]) -> Result<RoundOutcome> {
-        let start = Instant::now();
-        let aggregated = self.gar.aggregate(gradients).map_err(PsError::from)?;
-        self.finish_round(aggregated, start)
+        validate_batch(self.gar_name(), gradients).map_err(PsError::from)?;
+        let batch = GradientBatch::from_vectors(gradients).map_err(PsError::from)?;
+        self.apply_round_batch(&batch)
     }
 
     /// Arena variant of [`ParameterServer::apply_round`]: the gradients are
@@ -327,14 +334,8 @@ impl ParameterServer {
     /// Same conditions as [`ParameterServer::apply_round`].
     pub fn apply_round_batch(&mut self, gradients: &GradientBatch) -> Result<RoundOutcome> {
         let start = Instant::now();
-        // A sharded tier routes the round through the shard-parallel
-        // evaluation of the same rule; the monolithic path is unchanged.
-        let aggregated = match &self.sharded {
-            Some(sharded) => sharded.aggregate_batch(gradients),
-            None => self.gar.aggregate_batch(gradients),
-        }
-        .map_err(PsError::from)?;
-        self.finish_round(aggregated, start)
+        let aggregation = self.aggregate(gradients, None)?;
+        self.finish_round(aggregation, start)
     }
 
     /// Distance-primed variant of [`ParameterServer::apply_round_batch`]: the
@@ -354,20 +355,15 @@ impl ParameterServer {
         distances: &DistanceMatrix,
     ) -> Result<RoundOutcome> {
         let start = Instant::now();
-        let aggregated = match &self.sharded {
-            Some(sharded) => sharded.aggregate_batch_with_distances(gradients, distances),
-            None => self.gar.aggregate_batch_with_distances(gradients, distances),
-        }
-        .map_err(PsError::from)?;
-        self.finish_round(aggregated, start)
+        let aggregation = self.aggregate(gradients, Some(distances))?;
+        self.finish_round(aggregation, start)
     }
 
-    /// The row indices the active rule's selection phase would pick for this
-    /// batch (`None` for rules without a selection phase). Works on both the
-    /// monolithic and the sharded tier, and reads a pre-accumulated distance
-    /// matrix when the streaming pipeline supplies one — the engine's
-    /// selection-feedback path (adaptive attacks, Byzantine-selection
-    /// accounting) and a pure read: no model state changes.
+    /// The row indices the active rule's selection phase picks for this
+    /// batch (`None` for rules without a selection phase): the
+    /// [`RoundOutcome::selected`] the same round would report, without
+    /// touching the model. A pure read; the engine reads the selection off
+    /// the round it applied instead.
     ///
     /// # Errors
     ///
@@ -378,48 +374,36 @@ impl ParameterServer {
         batch: &GradientBatch,
         distances: Option<&DistanceMatrix>,
     ) -> Result<Option<Vec<usize>>> {
-        if let Some(sharded) = &self.sharded {
-            return match distances {
-                Some(d) => sharded.selected_rows_with_distances(batch, d),
-                None => sharded.selected_rows(batch),
-            }
-            .map_err(PsError::from);
-        }
-        match self.gar_config.kind {
-            GarKind::Krum | GarKind::MultiKrum => {
-                let rule = match (self.gar_config.kind, self.gar_config.m) {
-                    (GarKind::Krum, _) => MultiKrum::with_selection(self.gar_config.f, 1),
-                    (_, Some(m)) => MultiKrum::with_selection(self.gar_config.f, m),
-                    (_, None) => MultiKrum::new(self.gar_config.f),
-                }
-                .map_err(PsError::from)?;
-                match distances {
-                    Some(d) => rule.select_with_distances(d),
-                    None => rule.select_batch(batch),
-                }
-                .map(Some)
-                .map_err(PsError::from)
-            }
-            GarKind::Bulyan => {
-                let rule = Bulyan::new(self.gar_config.f).map_err(PsError::from)?;
-                match distances {
-                    Some(d) => rule.select_with_distances(d),
-                    None => rule.select_batch(batch),
-                }
-                .map(Some)
-                .map_err(PsError::from)
-            }
-            _ => Ok(None),
-        }
+        Ok(self.aggregate(batch, distances)?.selected)
     }
 
-    fn finish_round(&mut self, mut aggregated: Vector, start: Instant) -> Result<RoundOutcome> {
+    /// The one flat aggregation path: the sharded tier when installed,
+    /// otherwise the rule itself, reading `distances` when the streaming
+    /// pipeline supplies them.
+    fn aggregate(
+        &self,
+        batch: &GradientBatch,
+        distances: Option<&DistanceMatrix>,
+    ) -> Result<Aggregation> {
+        let gar: &dyn Gar = match &self.sharded {
+            Some(sharded) => sharded,
+            None => self.gar.as_ref(),
+        };
+        match distances {
+            Some(distances) => gar.aggregate_batch_with_distances(batch, distances),
+            None => gar.aggregate_batch(batch),
+        }
+        .map_err(PsError::from)
+    }
+
+    fn finish_round(&mut self, aggregation: Aggregation, start: Instant) -> Result<RoundOutcome> {
         let aggregation_wall_sec = start.elapsed().as_secs_f64();
+        let Aggregation { output: mut aggregated, selected } = aggregation;
         self.regularization.apply(&mut aggregated, &self.params).map_err(PsError::from)?;
         let lr = self.learning_rate.at(self.step);
         self.optimizer.step(&mut self.params, &aggregated, lr).map_err(PsError::from)?;
         self.step += 1;
-        Ok(RoundOutcome { aggregation_wall_sec, learning_rate: lr, step: self.step })
+        Ok(RoundOutcome { aggregation_wall_sec, learning_rate: lr, step: self.step, selected })
     }
 }
 
@@ -555,13 +539,14 @@ mod tests {
             (0..9).map(|i| Vector::from(vec![1.0 + 0.01 * i as f32, -0.5, 2.0])).collect();
         batch_rows.push(Vector::from(vec![1e6, 1e6, 1e6]));
         let batch = GradientBatch::from_vectors(&batch_rows).unwrap();
-        let expected = MultiKrum::new(2).unwrap().select_batch(&batch).unwrap();
+        let expected = agg_core::MultiKrum::new(2).unwrap().select(&batch_rows).unwrap();
 
-        // Monolithic, batch path.
-        let monolithic = server(GarKind::MultiKrum, 2, 3);
+        // Monolithic, batch path: the pure read and the applied round agree.
+        let mut monolithic = server(GarKind::MultiKrum, 2, 3);
         let selected = monolithic.selected_rows(&batch, None).unwrap().unwrap();
         assert_eq!(selected, expected);
         assert!(!selected.contains(&9), "the outlier must not be selected");
+        assert_eq!(monolithic.apply_round_batch(&batch).unwrap().selected, Some(expected.clone()));
 
         // Monolithic, distance-primed path.
         let distances = batch.pairwise_squared_distances();

@@ -86,10 +86,10 @@ impl RoundPipeline {
         }
     }
 
-    /// Enables per-row distance accumulation matching the server tier:
-    /// `shards == 1` replays the flat pairwise kernel, `shards > 1` the
-    /// column-blocked partial pipeline of the sharded aggregator — both
-    /// bit-identical to the batch path they replace.
+    /// Enables per-row distance accumulation matching the server tier's
+    /// `shards` (one shard for an unsharded server): the column-blocked
+    /// partial pipeline folded in shard order, bit-identical to the batch
+    /// path it replaces.
     ///
     /// # Errors
     ///
@@ -100,11 +100,8 @@ impl RoundPipeline {
         dim: usize,
         shards: usize,
     ) -> Result<()> {
-        self.distances = Some(if shards > 1 {
-            StreamingDistances::sharded(slots, dim, shards).map_err(PsError::from)?
-        } else {
-            StreamingDistances::flat(slots, dim)
-        });
+        self.distances =
+            Some(StreamingDistances::sharded(slots, dim, shards).map_err(PsError::from)?);
         Ok(())
     }
 

@@ -59,7 +59,7 @@ const WIDE_LANES: usize = 16;
 /// through the 8-lane monomorphisation instead of padding half a wide tile.
 const NARROW_LANES: usize = 8;
 
-/// Columns per tile of the sharded partial-distance kernel. Each pair reads
+/// Columns per tile of the pairwise-distance kernel. Each pair reads
 /// two `4096 × 4 B = 16 KiB` row slices — together a third of L1 — and the
 /// whole tile across all rows (`19 × 16 KiB ≈ 304 KiB` at the paper's n)
 /// stays L2-resident while every pair revisits it, which is where the
@@ -245,76 +245,109 @@ impl GradientBatch {
         Vector::from(self.row(i))
     }
 
-    /// Upper-triangular pairwise squared-distance matrix.
-    ///
-    /// Each unordered pair `(i, j)` is computed exactly once — the O(n²·d)
-    /// kernel that dominates Multi-Krum's cost and that Bulyan reuses across
-    /// its selection iterations. Distances involving non-finite coordinates
-    /// map to `+∞` so corrupt gradients are never preferred by any score
-    /// built on top. Parallel over pairs when `pairs·d` clears
-    /// [`PARALLEL_MIN_WORK`].
+    /// Upper-triangular pairwise squared-distance matrix over every column:
+    /// [`GradientBatch::pairwise_squared_distance_partials`] over `0..d`
+    /// with non-finite distances mapped to `+∞`, so corrupt gradients are
+    /// never preferred by any score built on top. This is the O(n²·d) pass
+    /// that dominates Multi-Krum's cost and that Bulyan reuses across its
+    /// selection iterations.
     pub fn pairwise_squared_distances(&self) -> DistanceMatrix {
-        let n = self.n;
-        let pair_count = n.saturating_sub(1) * n / 2;
-        let pair_dist = |(i, j): (usize, usize)| -> f32 {
-            let dist = ops::squared_distance(self.row(i), self.row(j));
-            if dist.is_finite() {
-                dist
-            } else {
-                f32::INFINITY
-            }
-        };
-        // Enumerating i then j > i writes the flat triangle in index order.
-        let pairs = (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j)));
-        let data: Vec<f32> = if pair_count.saturating_mul(self.d) >= PARALLEL_MIN_WORK {
-            pairs.collect::<Vec<_>>().into_par_iter().map(pair_dist).collect()
-        } else {
-            pairs.map(pair_dist).collect()
-        };
-        DistanceMatrix { n, data }
+        let mut matrix = self.pairwise_squared_distance_partials(0..self.d);
+        matrix.map_non_finite_to_infinity();
+        matrix
     }
 
     /// Raw per-pair partial squared distances over the column range `cols`:
-    /// entry `(i, j)` is `Σ_{c ∈ cols} (row_i[c] − row_j[c])²`.
-    ///
-    /// This is the sharded half of the distance decomposition: squared L2
-    /// distances are sums over disjoint coordinate ranges, so accumulating
-    /// one partial matrix per shard (in fixed shard order — see
-    /// [`DistanceMatrix::accumulate`]) reproduces the full-dimension matrix
-    /// exactly, up to floating-point reassociation. Unlike
-    /// [`GradientBatch::pairwise_squared_distances`] the partials are *raw*:
-    /// non-finite sums are left in place (they stay non-finite through any
-    /// accumulation) and the caller maps them to `+∞` once, after the
-    /// cross-shard reduce, via [`DistanceMatrix::map_non_finite_to_infinity`].
-    ///
-    /// The kernel is column-blocked (all pairs revisit one L2-resident tile
-    /// before moving on) with a sixteen-lane inner loop, and deliberately
-    /// sequential: the sharded aggregator parallelises across shards, and a
-    /// deterministic per-shard kernel is what makes the round bit-identical
-    /// under any thread count.
+    /// entry `(i, j)` is `Σ_{c ∈ cols} (row_i[c] − row_j[c])²`. The one-range
+    /// case of [`GradientBatch::pairwise_squared_distance_partials_per_range`].
     ///
     /// # Panics
     ///
     /// Panics when `cols` is not contained in `0..self.dim()`.
     pub fn pairwise_squared_distance_partials(&self, cols: Range<usize>) -> DistanceMatrix {
-        self.check_cols(&cols);
+        let mut partials = self.pairwise_squared_distance_partials_per_range(&[cols]);
+        partials.pop().expect("one range in, one matrix out")
+    }
+
+    /// Raw per-pair partial squared distances over each column range in
+    /// `ranges` (e.g. the shards of a plan), one matrix per range: entry
+    /// `(i, j)` of matrix `r` is `Σ_{c ∈ ranges[r]} (row_i[c] − row_j[c])²`,
+    /// each unordered pair computed exactly once. This is the workspace's one
+    /// pairwise-distance kernel.
+    ///
+    /// Squared L2 distances are sums over disjoint coordinate ranges, so
+    /// accumulating the per-shard matrices in fixed shard order (see
+    /// [`DistanceMatrix::accumulate`]) reproduces the full-dimension matrix
+    /// up to floating-point reassociation. The partials are *raw*: non-finite
+    /// sums stay in place (they stay non-finite through any accumulation)
+    /// and the caller maps them to `+∞` once, after the last reduce, via
+    /// [`DistanceMatrix::map_non_finite_to_infinity`].
+    ///
+    /// The kernel is column-blocked: every pair revisits one L2-resident
+    /// [`DISTANCE_BLOCK`]-column tile through a sixteen-lane inner loop
+    /// before moving on. Once `pairs·Σ|range|` clears [`PARALLEL_MIN_WORK`]
+    /// it fans out, once for all ranges, over (range, block, row-pair) tasks
+    /// — rows `k` and `n − 1 − k` together own `n − 1` pairs, so the tasks
+    /// of a block carry equal work. Each pair still sums its blocks in
+    /// ascending order starting from `0.0`, so the bits are the same under
+    /// any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a range is not contained in `0..self.dim()`.
+    pub fn pairwise_squared_distance_partials_per_range(
+        &self,
+        ranges: &[Range<usize>],
+    ) -> Vec<DistanceMatrix> {
+        ranges.iter().for_each(|cols| self.check_cols(cols));
         let n = self.n;
         let pair_count = n.saturating_sub(1) * n / 2;
-        let mut data = vec![0.0f32; pair_count];
-        let mut start = cols.start;
-        while start < cols.end {
-            let end = (start + DISTANCE_BLOCK).min(cols.end);
-            let mut p = 0usize;
-            for i in 0..n {
-                let a = &self.row(i)[start..end];
-                for j in (i + 1)..n {
-                    data[p] += ops::squared_distance_wide(a, &self.row(j)[start..end]);
-                    p += 1;
-                }
+        let folds = n.div_ceil(2);
+        let fold_rows =
+            move |k: usize| [k, n - 1 - k].into_iter().take(if 2 * k + 1 == n { 1 } else { 2 });
+        // Range-major, then block-major: folding the parts in task order adds
+        // each pair's blocks in ascending order.
+        let tasks: Vec<(usize, Range<usize>, usize)> = ranges
+            .iter()
+            .enumerate()
+            .flat_map(|(r, cols)| {
+                let end = cols.end;
+                (cols.start..end).step_by(DISTANCE_BLOCK).flat_map(move |start| {
+                    let block = start..(start + DISTANCE_BLOCK).min(end);
+                    (0..folds).map(move |k| (r, block.clone(), k))
+                })
+            })
+            .collect();
+        let partial = |(_, block, k): &(usize, Range<usize>, usize)| -> Vec<f32> {
+            let mut out = Vec::with_capacity(n);
+            for i in fold_rows(*k) {
+                let a = &self.row(i)[block.clone()];
+                out.extend(
+                    ((i + 1)..n)
+                        .map(|j| ops::squared_distance_wide(a, &self.row(j)[block.clone()])),
+                );
             }
-            start = end;
+            out
+        };
+        let columns: usize = ranges.iter().map(Range::len).sum();
+        let parts: Vec<Vec<f32>> = if pair_count.saturating_mul(columns) >= PARALLEL_MIN_WORK {
+            tasks.par_iter().map(partial).collect()
+        } else {
+            tasks.iter().map(partial).collect()
+        };
+        let mut data = vec![vec![0.0f32; pair_count]; ranges.len()];
+        for ((r, _, k), part) in tasks.iter().zip(&parts) {
+            let mut rest = part.as_slice();
+            for i in fold_rows(*k) {
+                let (row, tail) = rest.split_at(n - 1 - i);
+                let row_start = i * (2 * n - i - 1) / 2;
+                for (acc, v) in data[*r][row_start..].iter_mut().zip(row) {
+                    *acc += v;
+                }
+                rest = tail;
+            }
         }
-        DistanceMatrix { n, data }
+        data.into_iter().map(|data| DistanceMatrix { n, data }).collect()
     }
 
     /// A view of the column range `cols`, exposing the same fused coordinate
@@ -1535,6 +1568,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn kernel_folds_column_blocks_in_ascending_order() {
+        // Non-integer rows past the parallel gate: the fanned-out kernel must
+        // equal, bit for bit, the per-block partials folded block by block.
+        let (n, d) = (9, 3 * DISTANCE_BLOCK + 77);
+        let mut b = GradientBatch::with_capacity(d, n);
+        for i in 0..n {
+            let row: Vec<f32> = (0..d).map(|c| ((i * 7 + c * 13) % 101) as f32 * 0.013).collect();
+            b.push_row(&row).unwrap();
+        }
+        let mut folded = DistanceMatrix::zeros(n);
+        for start in (0..d).step_by(DISTANCE_BLOCK) {
+            folded
+                .accumulate(&b.columns(start..(start + DISTANCE_BLOCK).min(d)).distance_partials());
+        }
+        let full = b.pairwise_squared_distance_partials(0..d);
+        assert_eq!(
+            full.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            folded.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -113,11 +113,10 @@ pub fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
 /// chain (one vector add must retire before the next of the same lane group
 /// issues); sixteen lanes unroll the chain far enough to keep the FMA/add
 /// pipes busy, which measures ~1.5–1.8× faster on the cache-resident column
-/// slices the sharded partial-distance kernel feeds it. The summation order
-/// differs from [`squared_distance`], so results agree only to within
-/// floating-point reassociation error — callers that pin bit-exact legacy
-/// behaviour keep using the four-lane kernel. Non-finite coordinates
-/// propagate exactly as in [`squared_distance`].
+/// slices the pairwise-distance kernel feeds it. The summation order differs
+/// from [`squared_distance`], so results agree only to within floating-point
+/// reassociation error. Non-finite coordinates propagate exactly as in
+/// [`squared_distance`].
 ///
 /// # Panics
 ///

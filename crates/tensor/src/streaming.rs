@@ -1,7 +1,7 @@
 //! Incremental pairwise-distance accumulation for streaming rounds.
 //!
-//! The batch kernels ([`GradientBatch::pairwise_squared_distances`] and the
-//! sharded partial pipeline) assume every row is present before any distance
+//! The batch kernel ([`GradientBatch::pairwise_squared_distance_partials`],
+//! folded across shards) assumes every row is present before any distance
 //! work starts. A streaming round inverts that: rows complete one at a time
 //! as their packets drain off the wire, and the O(n²·d) distance work for a
 //! row can start the moment the row is in — overlapping the remaining
@@ -11,41 +11,26 @@
 //! arrivals. Its contract is *bit-identity* with the batch pipeline it
 //! replaces, which pins two things:
 //!
-//! - **Kernel choice.** [`Mode::Flat`] replays the unsharded path: one
-//!   [`ops::squared_distance`] call per pair over the full rows, the exact
-//!   four-lane kernel and summation order of
-//!   [`GradientBatch::pairwise_squared_distances`]. [`Mode::Sharded`]
-//!   replays the decomposed path: per-shard partial sums fed by
-//!   [`ops::squared_distance_wide`] over [`DISTANCE_BLOCK`]-column tiles in
-//!   ascending block order — the fold of
-//!   [`GradientBatch::pairwise_squared_distance_partials`].
-//! - **Reduce order.** f32 addition is non-associative, so the sharded mode
-//!   keeps one accumulator per (shard, pair) and only folds across shards —
-//!   in ascending shard order, starting from `0.0` — when the matrix is
+//! - **Kernel.** Per-shard partial sums fed by [`ops::squared_distance_wide`]
+//!   over [`DISTANCE_BLOCK`]-column tiles in ascending block order — the
+//!   fold of [`GradientBatch::pairwise_squared_distance_partials`]. An
+//!   unsharded server streams with a one-shard plan, which reproduces
+//!   [`GradientBatch::pairwise_squared_distances`].
+//! - **Reduce order.** f32 addition is non-associative, so the accumulator
+//!   keeps one sum per (shard, pair) and only folds across shards — in
+//!   ascending shard order, starting from `0.0` — when the matrix is
 //!   extracted, mirroring [`DistanceMatrix::accumulate`] over
 //!   `DistanceMatrix::zeros`. Arrival order therefore never leaks into the
 //!   result: each pair's value is a function of the two rows alone.
 //!
 //! Non-finite sums are left raw in the accumulators (NaN must propagate
 //! through the cross-shard reduce exactly as in the batch path) and mapped
-//! to `+∞` once at extraction, matching both batch kernels' published
+//! to `+∞` once at extraction, matching the batch kernel's published
 //! policy.
 
 use crate::batch::{DistanceMatrix, GradientBatch, DISTANCE_BLOCK};
 use crate::shard::ShardPlan;
 use crate::{ops, Result};
-
-/// Which batch distance pipeline the accumulator replays bit-for-bit.
-#[derive(Debug, Clone)]
-enum Mode {
-    /// The unsharded four-lane kernel of
-    /// [`GradientBatch::pairwise_squared_distances`].
-    Flat,
-    /// The column-blocked sixteen-lane partial pipeline of
-    /// [`GradientBatch::pairwise_squared_distance_partials`], folded across
-    /// shards in plan order.
-    Sharded(ShardPlan),
-}
 
 /// Incremental pairwise squared-distance state over a fixed set of `slots`
 /// worker rows, fed one completed row at a time.
@@ -60,7 +45,7 @@ enum Mode {
 ///     Vector::from(vec![3.0, 4.0]),
 /// ])
 /// .unwrap();
-/// let mut acc = StreamingDistances::flat(2, 2);
+/// let mut acc = StreamingDistances::sharded(2, 2, 1).unwrap();
 /// acc.row_arrived(&batch, 1);
 /// acc.row_arrived(&batch, 0);
 /// let m = acc.matrix(&[0, 1]);
@@ -70,10 +55,9 @@ enum Mode {
 pub struct StreamingDistances {
     slots: usize,
     dim: usize,
-    mode: Mode,
+    plan: ShardPlan,
     /// Accumulators, shard-major: `sums[s * pair_count + p]` where `p` is the
-    /// flat upper-triangle pair index over the `slots` grid. Flat mode uses a
-    /// single logical shard.
+    /// flat upper-triangle pair index over the `slots` grid.
     sums: Vec<f32>,
     /// Slot ids in arrival order.
     arrived: Vec<usize>,
@@ -82,13 +66,9 @@ pub struct StreamingDistances {
 }
 
 impl StreamingDistances {
-    /// Accumulator replaying the unsharded distance kernel over full rows.
-    pub fn flat(slots: usize, dim: usize) -> Self {
-        Self::with_mode(slots, dim, Mode::Flat)
-    }
-
-    /// Accumulator replaying the sharded partial pipeline over `shards`
-    /// contiguous column ranges of a `dim`-dimensional row.
+    /// Accumulator replaying the partial-distance pipeline over `shards`
+    /// contiguous column ranges of a `dim`-dimensional row (`shards = 1` for
+    /// an unsharded server).
     ///
     /// # Errors
     ///
@@ -96,23 +76,15 @@ impl StreamingDistances {
     /// (propagated from [`ShardPlan::new`]).
     pub fn sharded(slots: usize, dim: usize, shards: usize) -> Result<Self> {
         let plan = ShardPlan::new(dim, shards)?;
-        Ok(Self::with_mode(slots, dim, Mode::Sharded(plan)))
-    }
-
-    fn with_mode(slots: usize, dim: usize, mode: Mode) -> Self {
         let pair_count = slots.saturating_sub(1) * slots / 2;
-        let shard_count = match &mode {
-            Mode::Flat => 1,
-            Mode::Sharded(plan) => plan.shard_count(),
-        };
-        StreamingDistances {
+        Ok(StreamingDistances {
             slots,
             dim,
-            mode,
-            sums: vec![0.0; shard_count * pair_count],
+            sums: vec![0.0; plan.shard_count() * pair_count],
+            plan,
             arrived: Vec::with_capacity(slots),
             present: vec![false; slots],
-        }
+        })
     }
 
     /// Number of worker slots the accumulator was sized for.
@@ -149,7 +121,7 @@ impl StreamingDistances {
     /// the streaming round. `batch` is the submission arena: it must hold one
     /// row per slot at the accumulator's dimension.
     ///
-    /// The sharded walk is tile-ordered for cache warmth: the arriving row's
+    /// The walk is tile-ordered for cache warmth: the arriving row's
     /// [`DISTANCE_BLOCK`] slice stays register/L1-hot while every prior row's
     /// matching slice streams past it, and per (shard, pair) the blocks fold
     /// in ascending order — the exact left-fold of the batch partial kernel.
@@ -166,32 +138,20 @@ impl StreamingDistances {
         assert!(slot < self.slots, "slot {slot} out of range");
         assert!(!self.present[slot], "slot {slot} already arrived this round");
         let pair_count = self.slots.saturating_sub(1) * self.slots / 2;
-        match &self.mode {
-            Mode::Flat => {
-                let row = batch.row(slot);
+        for s in 0..self.plan.shard_count() {
+            let cols = self.plan.range(s);
+            let base = s * pair_count;
+            let mut start = cols.start;
+            while start < cols.end {
+                let end = (start + DISTANCE_BLOCK).min(cols.end);
+                let a = &batch.row(slot)[start..end];
                 for &prior in &self.arrived {
                     let (lo, hi) = if prior < slot { (prior, slot) } else { (slot, prior) };
                     let p = self.pair_index(lo, hi);
-                    self.sums[p] = ops::squared_distance(row, batch.row(prior));
+                    self.sums[base + p] +=
+                        ops::squared_distance_wide(a, &batch.row(prior)[start..end]);
                 }
-            }
-            Mode::Sharded(plan) => {
-                for s in 0..plan.shard_count() {
-                    let cols = plan.range(s);
-                    let base = s * pair_count;
-                    let mut start = cols.start;
-                    while start < cols.end {
-                        let end = (start + DISTANCE_BLOCK).min(cols.end);
-                        let a = &batch.row(slot)[start..end];
-                        for &prior in &self.arrived {
-                            let (lo, hi) = if prior < slot { (prior, slot) } else { (slot, prior) };
-                            let p = self.pair_index(lo, hi);
-                            self.sums[base + p] +=
-                                ops::squared_distance_wide(a, &batch.row(prior)[start..end]);
-                        }
-                        start = end;
-                    }
-                }
+                start = end;
             }
         }
         self.present[slot] = true;
@@ -216,10 +176,7 @@ impl StreamingDistances {
         for &slot in keep {
             assert!(self.is_arrived(slot), "slot {slot} has not arrived");
         }
-        let shard_count = match &self.mode {
-            Mode::Flat => 1,
-            Mode::Sharded(plan) => plan.shard_count(),
-        };
+        let shard_count = self.plan.shard_count();
         let pair_count = self.slots.saturating_sub(1) * self.slots / 2;
         let m = keep.len();
         let mut data = Vec::with_capacity(m.saturating_sub(1) * m / 2);
@@ -286,7 +243,7 @@ mod tests {
     fn flat_mode_matches_batch_kernel_for_any_arrival_order() {
         let batch = random_batch(9, 301, 7);
         for seed in 0..6 {
-            let mut acc = StreamingDistances::flat(9, 301);
+            let mut acc = StreamingDistances::sharded(9, 301, 1).unwrap();
             let order = arrival_order(9, seed);
             for &slot in &order {
                 if !acc.is_arrived(slot) {
@@ -326,7 +283,7 @@ mod tests {
         batch.row_mut(2)[17] = f32::NAN;
         batch.row_mut(4)[399] = f32::INFINITY;
 
-        let mut flat = StreamingDistances::flat(6, 400);
+        let mut flat = StreamingDistances::sharded(6, 400, 1).unwrap();
         let mut sharded = StreamingDistances::sharded(6, 400, 3).unwrap();
         for slot in [5, 2, 0, 4, 1, 3] {
             flat.row_arrived(&batch, slot);
@@ -347,8 +304,8 @@ mod tests {
         let kept: Vec<Vector> = keep.iter().map(|&i| batch.row_vector(i)).collect();
         let compacted = GradientBatch::from_vectors(&kept).unwrap();
 
-        // Flat mode against the unsharded kernel on the compacted batch.
-        let mut flat = StreamingDistances::flat(10, 2600);
+        // One shard against the unsharded kernel on the compacted batch.
+        let mut flat = StreamingDistances::sharded(10, 2600, 1).unwrap();
         for slot in [9, 0, 6, 3, 2] {
             flat.row_arrived(&batch, slot);
         }
@@ -395,7 +352,7 @@ mod tests {
     #[should_panic(expected = "already arrived")]
     fn double_arrival_is_a_caller_bug() {
         let batch = random_batch(3, 8, 1);
-        let mut acc = StreamingDistances::flat(3, 8);
+        let mut acc = StreamingDistances::sharded(3, 8, 1).unwrap();
         acc.row_arrived(&batch, 1);
         acc.row_arrived(&batch, 1);
     }
@@ -404,7 +361,7 @@ mod tests {
     #[should_panic(expected = "has not arrived")]
     fn matrix_over_missing_slot_panics() {
         let batch = random_batch(3, 8, 1);
-        let mut acc = StreamingDistances::flat(3, 8);
+        let mut acc = StreamingDistances::sharded(3, 8, 1).unwrap();
         acc.row_arrived(&batch, 0);
         let _ = acc.matrix(&[0, 2]);
     }

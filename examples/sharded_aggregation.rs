@@ -63,9 +63,10 @@ fn main() {
     let sharded = ShardedAggregator::new(config, SHARDS).expect("valid shard count");
     let monolithic = MultiKrum::new(F).expect("valid f");
 
-    let sharded_selection =
-        sharded.selected_rows(&batch).expect("selects").expect("multi-krum selects");
-    let monolithic_selection = monolithic.select_batch(&batch).expect("selects");
+    let sharded_update = sharded.aggregate_batch(&batch).expect("aggregates");
+    let monolithic_update = monolithic.aggregate_batch(&batch).expect("aggregates");
+    let sharded_selection = sharded_update.selected.expect("multi-krum selects");
+    let monolithic_selection = monolithic_update.selected.expect("multi-krum selects");
     println!("\nmonolithic selection: {monolithic_selection:?}");
     println!("sharded selection:    {sharded_selection:?}");
     assert_eq!(sharded_selection, monolithic_selection, "the decomposition is exact");
@@ -74,17 +75,16 @@ fn main() {
         "no Byzantine worker sneaks into the selection"
     );
 
-    let sharded_update = sharded.aggregate_batch(&batch).expect("aggregates");
-    let monolithic_update = monolithic.aggregate_batch(&batch).expect("aggregates");
     let max_diff = sharded_update
+        .output
         .as_slice()
         .iter()
-        .zip(monolithic_update.as_slice())
+        .zip(monolithic_update.output.as_slice())
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f32, f32::max);
     println!(
         "\nupdates agree to {max_diff:.2e} (selection identical, per-shard averages exact); \
          update[0] = {:.4}",
-        sharded_update[0]
+        sharded_update.output[0]
     );
 }

@@ -46,7 +46,8 @@ fn close(sharded: f32, unsharded: f32) -> bool {
 }
 
 /// Runs every configuration through the sharded and unsharded paths at
-/// every shard count, requiring agreement on success and on the aggregate.
+/// every shard count, requiring agreement on success, on the aggregate and
+/// on the selection.
 fn assert_sharded_matches_unsharded(f: usize, batch: &GradientBatch) {
     for config in all_configs(f) {
         let unsharded = config.build().expect("buildable rule").aggregate_batch(batch);
@@ -54,33 +55,20 @@ fn assert_sharded_matches_unsharded(f: usize, batch: &GradientBatch) {
             let sharded_rule = ShardedAggregator::new(config, shards).expect("valid shards");
             let sharded = sharded_rule.aggregate_batch(batch);
             match (&sharded, &unsharded) {
-                (Ok(a), Ok(b)) => assert_aggregates_close(config, shards, a, b),
+                (Ok(a), Ok(b)) => {
+                    assert_aggregates_close(config, shards, &a.output, &b.output);
+                    // The selection phase, when the rule has one, must pick
+                    // exactly the same workers — the heart of the
+                    // no-robustness-loss claim.
+                    assert_eq!(
+                        a.selected, b.selected,
+                        "{config} S={shards}: sharded selection diverged"
+                    );
+                }
                 (Err(_), Err(_)) => {}
                 (a, b) => panic!(
                     "{config} S={shards}: sharded {a:?} disagrees with unsharded {b:?} on success"
                 ),
-            }
-            // The selection phase, when the rule has one, must pick exactly
-            // the same workers — the heart of the no-robustness-loss claim.
-            if let Ok(Some(selected)) = sharded_rule.selected_rows(batch) {
-                let reference = match config.kind {
-                    GarKind::Krum | GarKind::MultiKrum => {
-                        let rule = match config.m {
-                            Some(m) => agg_core::MultiKrum::with_selection(config.f, m),
-                            None if config.kind == GarKind::Krum => {
-                                agg_core::MultiKrum::with_selection(config.f, 1)
-                            }
-                            None => agg_core::MultiKrum::new(config.f),
-                        };
-                        rule.expect("valid rule").select_batch(batch).expect("selects")
-                    }
-                    GarKind::Bulyan => agg_core::Bulyan::new(config.f)
-                        .expect("valid rule")
-                        .select_batch(batch)
-                        .expect("selects"),
-                    _ => unreachable!("only selection rules return Some"),
-                };
-                assert_eq!(selected, reference, "{config} S={shards}: sharded selection diverged");
             }
         }
     }

@@ -101,6 +101,8 @@ fn assert_quorum_equals_explicit_drop(rows: &[Vec<f32>], f: usize, shards: usize
         };
         match (streamed, reference) {
             (Ok(a), Ok(b)) => {
+                assert_eq!(a.selected, b.selected, "{config} S={shards}: selection diverged");
+                let (a, b) = (a.output, b.output);
                 assert_eq!(a.len(), b.len(), "{config} S={shards}: dimension mismatch");
                 for c in 0..a.len() {
                     assert_eq!(

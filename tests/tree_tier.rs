@@ -24,8 +24,9 @@
 
 use agg_attacks::AttackKind;
 use agg_core::{GarConfig, GarKind, TreeAggregator, TreeConfig};
+use agg_net::{LinkConfig, LossPolicy};
 use agg_nn::schedule::LearningRate;
-use agg_ps::{RunnerConfig, SyncTrainingEngine, TrainingReport};
+use agg_ps::{RunnerConfig, SyncTrainingEngine, TrainingReport, TransportKind};
 use agg_tensor::{GradientBatch, Vector};
 use proptest::prelude::*;
 
@@ -134,12 +135,42 @@ fn midscale_tree_round_trains_with_multikrum_at_both_levels() {
     assert!(report.final_accuracy() > 0.6, "accuracy {}", report.final_accuracy());
 }
 
+#[test]
+fn a_group_output_lost_on_its_leg_is_never_counted_as_selected() {
+    // Selection feedback must describe the round that was applied. Four
+    // Median groups of five feed a Multi-Krum root; the last group holds
+    // both (stealthy) attackers, and its root-ward leg drops every output.
+    // Worker 19's own link is the degraded one too, so worker 18 is the
+    // attacker whose row reaches the group stage. The root only ever sees
+    // the three honest outputs, so no Byzantine row can have been selected
+    // — even though, over all four outputs, the root would pick the
+    // attackers' group about half the time.
+    let tree = TreeConfig {
+        group: GarConfig::new(GarKind::Median, 1),
+        root: GarConfig::new(GarKind::MultiKrum, 0),
+        group_size: 5,
+    };
+    let mut config = base_config(tree, 20);
+    config.byzantine_count = 2;
+    config.attack = AttackKind::None;
+    config.transport = TransportKind::Lossy { policy: LossPolicy::DropGradient };
+    config.lossy_links = 1;
+    config.link = LinkConfig::datacenter().with_drop_rate(1.0);
+    let report = SyncTrainingEngine::new(config).expect("valid config").run().expect("runs");
+    assert_eq!(report.steps_completed, 12, "three delivered outputs seat the root every round");
+    assert_eq!(
+        report.byzantine_selected_rounds, 0,
+        "a group output the root never received cannot have been selected"
+    );
+}
+
 /// The flat aggregate of `rows` under `kind`/`f`, as raw bits.
 fn flat_bits(kind: GarKind, f: usize, rows: &[Vector]) -> Vec<u32> {
     let batch = GradientBatch::from_vectors(rows).expect("batch");
     let gar = GarConfig::new(kind, f).build().expect("rule");
     gar.aggregate_batch(&batch)
         .expect("flat aggregate")
+        .output
         .as_slice()
         .iter()
         .map(|v| v.to_bits())
@@ -154,6 +185,7 @@ fn tree_bits(config: TreeConfig, rows: &[Vector]) -> Vec<u32> {
     let tree = TreeAggregator::new(config).expect("tree");
     tree.aggregate_batch_grouped(&batch, &groups)
         .expect("tree aggregate")
+        .output
         .as_slice()
         .iter()
         .map(|v| v.to_bits())
