@@ -492,7 +492,7 @@ fn main() {
 
                 // The streaming arms run the engine's event-driven round:
                 // the same transports, delivered into a double-buffered
-                // pipeline with per-row distance events (flat replay,
+                // pipeline with per-row distance events (a one-shard plan,
                 // matching the unsharded server this bench drives).
                 let mut pipeline = RoundPipeline::new(D, N);
                 if kind.uses_distances() {

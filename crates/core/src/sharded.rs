@@ -68,12 +68,6 @@ pub struct ShardedAggregator {
     /// of the coordinate-wise rules, and the selection and reduction the
     /// distance rules run on the shard-reduced matrix.
     inner: Box<dyn Gar>,
-    /// `false` computes the distance partials one shard at a time, in shard
-    /// order, instead of in one fan-out over every shard's tiles. The
-    /// determinism tests run both modes and assert bit-for-bit identical
-    /// aggregates, which (together with the shard-order reduce) pins
-    /// thread-count independence.
-    parallel: bool,
 }
 
 impl ShardedAggregator {
@@ -91,7 +85,7 @@ impl ShardedAggregator {
             });
         }
         let inner = config.build()?;
-        Ok(ShardedAggregator { config, shards, inner, parallel: true })
+        Ok(ShardedAggregator { config, shards, inner })
     }
 
     /// Number of coordinate shards.
@@ -104,37 +98,19 @@ impl ShardedAggregator {
         self.config
     }
 
-    /// Forces the distance partials through one kernel call per shard, in
-    /// shard order, instead of one fan-out over all shards. Both modes must
-    /// produce bit-identical aggregates — the determinism test asserts
-    /// exactly that.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-    }
-
     /// The shard partition for a `d`-dimensional batch.
     pub fn plan(&self, d: usize) -> ShardPlan {
         ShardPlan::new(d, self.shards).expect("constructor guarantees shards >= 1")
     }
 
     /// The global pair-distance matrix assembled from per-shard partials:
-    /// every shard's tiles computed in one fan-out of the distance kernel
-    /// (or, with [`ShardedAggregator::set_parallel`] off, one kernel call
-    /// per shard in shard order), a shard-order reduce, and one non-finite
-    /// → `+∞` mapping at the end (NaN propagates faithfully through the raw
-    /// sums).
+    /// every shard's partials computed in one fan-out of the distance
+    /// kernel, a shard-order reduce, and one non-finite → `+∞` mapping at
+    /// the end (NaN propagates faithfully through the raw sums).
     pub fn global_distances(&self, batch: &GradientBatch) -> DistanceMatrix {
         let ranges: Vec<Range<usize>> = self.plan(batch.dim()).ranges().collect();
-        let partials = if self.parallel {
-            batch.pairwise_squared_distance_partials_per_range(&ranges)
-        } else {
-            ranges
-                .into_iter()
-                .map(|range| batch.pairwise_squared_distance_partials(range))
-                .collect()
-        };
         let mut global = DistanceMatrix::zeros(batch.n());
-        for partial in &partials {
+        for partial in &batch.pairwise_squared_distance_partials_per_range(&ranges) {
             global.accumulate(partial);
         }
         global.map_non_finite_to_infinity();
@@ -232,17 +208,28 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_shards_agree_bitwise() {
-        // Large enough that d·n clears the parallel gate.
+        // Large enough that d·n clears the parallel gate: the one fan-out
+        // over every shard must reproduce one kernel call per shard, folded
+        // in shard order, bit for bit.
         let batch = random_batch(13, 40_000, 11);
-        for kind in [GarKind::MultiKrum, GarKind::Median, GarKind::Bulyan] {
-            let mut sharded = ShardedAggregator::new(GarConfig::new(kind, 2), 4).unwrap();
+        for kind in [GarKind::MultiKrum, GarKind::Bulyan] {
+            let config = GarConfig::new(kind, 2);
+            let sharded = ShardedAggregator::new(config, 4).unwrap();
+            let mut sequential = DistanceMatrix::zeros(13);
+            for range in sharded.plan(40_000).ranges() {
+                sequential.accumulate(&batch.pairwise_squared_distance_partials(range));
+            }
+            sequential.map_non_finite_to_infinity();
             let parallel = sharded.aggregate_batch(&batch).unwrap();
-            sharded.set_parallel(false);
-            let sequential = sharded.aggregate_batch(&batch).unwrap();
-            assert_eq!(parallel.selected, sequential.selected, "{kind}");
+            let shard_order = config
+                .build()
+                .unwrap()
+                .aggregate_batch_with_distances(&batch, &sequential)
+                .unwrap();
+            assert_eq!(parallel.selected, shard_order.selected, "{kind}");
             assert_eq!(
                 parallel.output.as_slice(),
-                sequential.output.as_slice(),
+                shard_order.output.as_slice(),
                 "{kind}: shard-parallel aggregation must be bit-identical to shard order"
             );
         }
@@ -262,7 +249,7 @@ mod tests {
             }
             let keep: Vec<usize> = (0..9).collect();
             let streamed =
-                sharded.aggregate_batch_with_distances(&batch, &acc.matrix(&keep)).unwrap();
+                sharded.aggregate_batch_with_distances(&batch, &acc.matrix(&batch, &keep)).unwrap();
             let reference = sharded.aggregate_batch(&batch).unwrap();
             assert_eq!(streamed, reference, "{kind}");
         }

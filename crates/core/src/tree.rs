@@ -142,8 +142,7 @@ pub struct TreeAggregator {
     /// The root rule over group outputs.
     root_rule: Box<dyn Gar>,
     /// `false` forces the per-group work through a plain sequential
-    /// iterator; the determinism tests pin both modes bit-identical, exactly
-    /// like [`crate::ShardedAggregator::set_parallel`].
+    /// iterator; the determinism tests pin both modes bit-identical.
     parallel: bool,
 }
 

@@ -292,15 +292,6 @@ impl SyncTrainingEngine {
         self.phase1_parallel = parallel;
     }
 
-    /// Forces the sharded aggregation tier through the sequential shard
-    /// ordering instead of the rayon fan-out (no-op for a monolithic
-    /// server). Like [`SyncTrainingEngine::set_phase1_parallel`], the two
-    /// modes must produce bit-identical reports — the shard determinism test
-    /// asserts exactly that.
-    pub fn set_shard_parallel(&mut self, parallel: bool) {
-        self.server.set_shard_parallel(parallel);
-    }
-
     /// Forces the tree tier's group stage through the sequential group
     /// ordering instead of the rayon fan-out (no-op on the flat path). The
     /// two modes must produce bit-identical reports — the tree determinism
@@ -501,9 +492,7 @@ impl SyncTrainingEngine {
                 let needs_merge = adaptive_churn || self.reputation.is_some();
                 let merged_plan = if needs_merge {
                     let mut plan = fault_plan.clone();
-                    // Taken out for the block so the floor gate can borrow
-                    // the engine; put back before anything else reads it.
-                    if let Some(mut ledger) = self.reputation.take() {
+                    if let Some(ledger) = &mut self.reputation {
                         // Readmissions first: a lapsed quarantine rejoins on
                         // probation this round (epoch-fenced like any other
                         // rejoiner), so its stale first-round packets are by
@@ -538,7 +527,12 @@ impl SyncTrainingEngine {
                             // effective f.
                             let f_eff =
                                 self.config.gar.f.saturating_sub(ledger.quarantined_count() + 1);
-                            if !self.floor_ok(&live_sim, f_eff) {
+                            if !Self::floor_ok(
+                                self.tree_plan.as_ref(),
+                                &self.config,
+                                &live_sim,
+                                f_eff,
+                            ) {
                                 live_sim[candidate] = was_live;
                                 continue;
                             }
@@ -546,7 +540,6 @@ impl SyncTrainingEngine {
                             ledger.begin_quarantine(step, candidate);
                             worker_stats[candidate].quarantines += 1;
                         }
-                        self.reputation = Some(ledger);
                     }
                     if adaptive_churn {
                         let ctx = AttackContext {
@@ -640,7 +633,7 @@ impl SyncTrainingEngine {
                 );
                 let live: Vec<bool> =
                     (0..self.workers.len()).map(|w| self.membership.health(w).is_live()).collect();
-                if !self.floor_ok(&live, f_eff) {
+                if !Self::floor_ok(self.tree_plan.as_ref(), &self.config, &live, f_eff) {
                     refused += 1;
                     if self.config.refusal == RefusalPolicy::HoldLastRound {
                         // The held model is still broadcast, so the clock
@@ -1062,8 +1055,13 @@ impl SyncTrainingEngine {
     /// two-level bound over the live partition, whose per-level budgets are
     /// fixed by the tree configuration (`f_eff` is unused there). The
     /// quarantine gate and the round gate both ask here.
-    fn floor_ok(&self, live: &[bool], f_eff: usize) -> bool {
-        match (&self.tree_plan, &self.config.tree) {
+    fn floor_ok(
+        tree_plan: Option<&GroupPlan>,
+        config: &RunnerConfig,
+        live: &[bool],
+        f_eff: usize,
+    ) -> bool {
+        match (tree_plan, &config.tree) {
             (Some(plan), Some(tree)) => {
                 let mut live_sizes = vec![0usize; plan.group_count()];
                 for (w, &is_live) in live.iter().enumerate() {
@@ -1082,7 +1080,7 @@ impl SyncTrainingEngine {
             }
             _ => {
                 live.iter().filter(|&&is_live| is_live).count()
-                    >= resilience::resilience_floor(self.config.gar.kind, f_eff)
+                    >= resilience::resilience_floor(config.gar.kind, f_eff)
             }
         }
     }

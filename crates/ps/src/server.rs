@@ -138,15 +138,6 @@ impl ParameterServer {
         self.sharded.as_ref().map_or(1, ShardedAggregator::shards)
     }
 
-    /// Forces sharded aggregation through the sequential shard ordering (the
-    /// determinism tests compare this against the rayon fan-out bit for
-    /// bit). A no-op on the monolithic server.
-    pub fn set_shard_parallel(&mut self, parallel: bool) {
-        if let Some(sharded) = self.sharded.as_mut() {
-            sharded.set_parallel(parallel);
-        }
-    }
-
     /// Name of the active aggregation rule.
     pub fn gar_name(&self) -> &'static str {
         self.gar.name()

@@ -133,9 +133,10 @@ impl RoundPipeline {
         &mut self.arenas[self.front]
     }
 
-    /// Per-row completion event: folds the freshly completed arena row into
-    /// the distance state against every previously arrived row. A no-op when
-    /// distance streaming is disabled.
+    /// Per-row completion event: records the freshly completed arena row in
+    /// the distance state, which folds it against every previously arrived
+    /// row once its arrival group fills. A no-op when distance streaming is
+    /// disabled.
     ///
     /// # Panics
     ///
@@ -151,8 +152,9 @@ impl RoundPipeline {
     /// (strictly ascending worker slots, all completed). `None` when
     /// distance streaming is disabled — the caller falls back to the batch
     /// kernels.
-    pub fn matrix(&self, keep: &[usize]) -> Option<DistanceMatrix> {
-        self.distances.as_ref().map(|distances| distances.matrix(keep))
+    pub fn matrix(&mut self, keep: &[usize]) -> Option<DistanceMatrix> {
+        let arena = &self.arenas[self.front];
+        self.distances.as_mut().map(|distances| distances.matrix(arena, keep))
     }
 }
 

@@ -66,6 +66,13 @@ const NARROW_LANES: usize = 8;
 /// blocked kernel's speedup over the full-row walk comes from.
 pub(crate) const DISTANCE_BLOCK: usize = 4096;
 
+/// Most per-tile partial sums the pairwise-distance kernel keeps alive
+/// between its fan-out and its fold (`2¹⁸ × 4 B = 1 MiB`), or one tile's
+/// worth when the triangle alone is larger. The paper's n = 19 folds every
+/// tile of a 100k-column row in one fan-out; n = 512 folds one tile at a
+/// time.
+const DISTANCE_SCRATCH: usize = 1 << 18;
+
 /// A round of gradients stored contiguously, row-major `n × d`.
 ///
 /// ```
@@ -286,11 +293,13 @@ impl GradientBatch {
     /// The kernel is column-blocked: every pair revisits one L2-resident
     /// [`DISTANCE_BLOCK`]-column tile through a sixteen-lane inner loop
     /// before moving on. Once `pairs·Σ|range|` clears [`PARALLEL_MIN_WORK`]
-    /// it fans out, once for all ranges, over (range, block, row-pair) tasks
-    /// — rows `k` and `n − 1 − k` together own `n − 1` pairs, so the tasks
-    /// of a block carry equal work. Each pair still sums its blocks in
-    /// ascending order starting from `0.0`, so the bits are the same under
-    /// any thread count.
+    /// it fans out over (tile, row-pair) tasks of every range at once —
+    /// rows `k` and `n − 1 − k` together own `n − 1` pairs, so the tasks of
+    /// a tile carry equal work, and the tasks of one tile run back to back,
+    /// sharing it in L2. The tiles go in groups whose partial sums fit
+    /// [`DISTANCE_SCRATCH`]. Each pair still sums its tiles in ascending
+    /// order starting from `0.0`, so the bits are the same under any thread
+    /// count.
     ///
     /// # Panics
     ///
@@ -305,46 +314,51 @@ impl GradientBatch {
         let folds = n.div_ceil(2);
         let fold_rows =
             move |k: usize| [k, n - 1 - k].into_iter().take(if 2 * k + 1 == n { 1 } else { 2 });
-        // Range-major, then block-major: folding the parts in task order adds
-        // each pair's blocks in ascending order.
-        let tasks: Vec<(usize, Range<usize>, usize)> = ranges
+        // Range-major, then tile-major: folding the parts in this order adds
+        // each pair's tiles in ascending order.
+        let tiles: Vec<(usize, Range<usize>)> = ranges
             .iter()
             .enumerate()
             .flat_map(|(r, cols)| {
                 let end = cols.end;
-                (cols.start..end).step_by(DISTANCE_BLOCK).flat_map(move |start| {
-                    let block = start..(start + DISTANCE_BLOCK).min(end);
-                    (0..folds).map(move |k| (r, block.clone(), k))
-                })
+                (cols.start..end)
+                    .step_by(DISTANCE_BLOCK)
+                    .map(move |start| (r, start..(start + DISTANCE_BLOCK).min(end)))
             })
             .collect();
-        let partial = |(_, block, k): &(usize, Range<usize>, usize)| -> Vec<f32> {
-            let mut out = Vec::with_capacity(n);
-            for i in fold_rows(*k) {
-                let a = &self.row(i)[block.clone()];
-                out.extend(
-                    ((i + 1)..n)
-                        .map(|j| ops::squared_distance_wide(a, &self.row(j)[block.clone()])),
-                );
-            }
-            out
-        };
         let columns: usize = ranges.iter().map(Range::len).sum();
-        let parts: Vec<Vec<f32>> = if pair_count.saturating_mul(columns) >= PARALLEL_MIN_WORK {
-            tasks.par_iter().map(partial).collect()
-        } else {
-            tasks.iter().map(partial).collect()
-        };
+        let parallel = pair_count.saturating_mul(columns) >= PARALLEL_MIN_WORK;
         let mut data = vec![vec![0.0f32; pair_count]; ranges.len()];
-        for ((r, _, k), part) in tasks.iter().zip(&parts) {
-            let mut rest = part.as_slice();
-            for i in fold_rows(*k) {
-                let (row, tail) = rest.split_at(n - 1 - i);
-                let row_start = i * (2 * n - i - 1) / 2;
-                for (acc, v) in data[*r][row_start..].iter_mut().zip(row) {
-                    *acc += v;
+        for group in tiles.chunks((DISTANCE_SCRATCH / pair_count.max(1)).max(1)) {
+            let tasks: Vec<(usize, usize)> =
+                (0..group.len()).flat_map(|t| (0..folds).map(move |k| (t, k))).collect();
+            let partial = |&(t, k): &(usize, usize)| -> Vec<f32> {
+                let tile = &group[t].1;
+                let mut out = Vec::with_capacity(n);
+                for i in fold_rows(k) {
+                    let a = &self.row(i)[tile.clone()];
+                    out.extend(
+                        ((i + 1)..n)
+                            .map(|j| ops::squared_distance_wide(a, &self.row(j)[tile.clone()])),
+                    );
                 }
-                rest = tail;
+                out
+            };
+            let parts: Vec<Vec<f32>> = if parallel {
+                tasks.par_iter().map(partial).collect()
+            } else {
+                tasks.iter().map(partial).collect()
+            };
+            for ((t, k), part) in tasks.iter().zip(&parts) {
+                let mut rest = part.as_slice();
+                for i in fold_rows(*k) {
+                    let (row, tail) = rest.split_at(n - 1 - i);
+                    let row_start = i * (2 * n - i - 1) / 2;
+                    for (acc, v) in data[group[*t].0][row_start..].iter_mut().zip(row) {
+                        *acc += v;
+                    }
+                    rest = tail;
+                }
             }
         }
         data.into_iter().map(|data| DistanceMatrix { n, data }).collect()
@@ -1573,23 +1587,25 @@ mod tests {
     #[test]
     fn kernel_folds_column_blocks_in_ascending_order() {
         // Non-integer rows past the parallel gate: the fanned-out kernel must
-        // equal, bit for bit, the per-block partials folded block by block.
-        let (n, d) = (9, 3 * DISTANCE_BLOCK + 77);
-        let mut b = GradientBatch::with_capacity(d, n);
-        for i in 0..n {
-            let row: Vec<f32> = (0..d).map(|c| ((i * 7 + c * 13) % 101) as f32 * 0.013).collect();
-            b.push_row(&row).unwrap();
+        // equal, bit for bit, the per-block partials folded block by block —
+        // for n = 9 (every block in one fan-out; each per-block call stays
+        // below the gate) and for n = 513 (a triangle past the scratch
+        // bound, so one block per fan-out).
+        for (n, d) in [(9, 3 * DISTANCE_BLOCK + 77), (513, 2 * DISTANCE_BLOCK + 5)] {
+            let mut b = GradientBatch::with_capacity(d, n);
+            for i in 0..n {
+                let row: Vec<f32> =
+                    (0..d).map(|c| ((i * 7 + c * 13) % 101) as f32 * 0.013).collect();
+                b.push_row(&row).unwrap();
+            }
+            let mut folded = DistanceMatrix::zeros(n);
+            for start in (0..d).step_by(DISTANCE_BLOCK) {
+                let cols = start..(start + DISTANCE_BLOCK).min(d);
+                folded.accumulate(&b.columns(cols).distance_partials());
+            }
+            let full = b.pairwise_squared_distance_partials(0..d);
+            assert!(full.data.iter().zip(&folded.data).all(|(a, e)| a.to_bits() == e.to_bits()));
         }
-        let mut folded = DistanceMatrix::zeros(n);
-        for start in (0..d).step_by(DISTANCE_BLOCK) {
-            folded
-                .accumulate(&b.columns(start..(start + DISTANCE_BLOCK).min(d)).distance_partials());
-        }
-        let full = b.pairwise_squared_distance_partials(0..d);
-        assert_eq!(
-            full.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            folded.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! folded across shards) assumes every row is present before any distance
 //! work starts. A streaming round inverts that: rows complete one at a time
 //! as their packets drain off the wire, and the O(n²·d) distance work for a
-//! row can start the moment the row is in — overlapping the remaining
-//! ingest instead of waiting behind a barrier.
+//! row can start once the row is in — overlapping the remaining ingest
+//! instead of waiting behind a barrier. Arrivals fold in groups of
+//! [`ARRIVAL_GROUP`]: every earlier row's tile is read once per group
+//! instead of once per arrival, the reuse the batch kernel gets from
+//! running all pairs of a tile back to back.
 //!
 //! [`StreamingDistances`] holds the per-pair running state between row
 //! arrivals. Its contract is *bit-identity* with the batch pipeline it
@@ -32,6 +35,19 @@ use crate::batch::{DistanceMatrix, GradientBatch, DISTANCE_BLOCK};
 use crate::shard::ShardPlan;
 use crate::{ops, Result};
 
+/// Arrived rows whose distance work is deferred and folded together. Eight
+/// [`DISTANCE_BLOCK`] tiles are 128 KiB, so a group's tiles stay L2-resident
+/// while every earlier row's matching tile streams past them once.
+const ARRIVAL_GROUP: usize = 8;
+
+/// Flat upper-triangle index of the unordered slot pair `(lo, hi)` over a
+/// `slots`-row grid.
+#[inline]
+fn pair_index(slots: usize, lo: usize, hi: usize) -> usize {
+    debug_assert!(lo < hi && hi < slots);
+    lo * (2 * slots - lo - 1) / 2 + (hi - lo - 1)
+}
+
 /// Incremental pairwise squared-distance state over a fixed set of `slots`
 /// worker rows, fed one completed row at a time.
 ///
@@ -48,7 +64,7 @@ use crate::{ops, Result};
 /// let mut acc = StreamingDistances::sharded(2, 2, 1).unwrap();
 /// acc.row_arrived(&batch, 1);
 /// acc.row_arrived(&batch, 0);
-/// let m = acc.matrix(&[0, 1]);
+/// let m = acc.matrix(&batch, &[0, 1]);
 /// assert_eq!(m.get(0, 1), 25.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -61,6 +77,9 @@ pub struct StreamingDistances {
     sums: Vec<f32>,
     /// Slot ids in arrival order.
     arrived: Vec<usize>,
+    /// How many of `arrived` (a prefix) are folded into `sums`; the rest
+    /// wait for their group to fill or for the matrix to be extracted.
+    folded: usize,
     /// One flag per slot: has the row completed this round?
     present: Vec<bool>,
 }
@@ -83,6 +102,7 @@ impl StreamingDistances {
             sums: vec![0.0; plan.shard_count() * pair_count],
             plan,
             arrived: Vec::with_capacity(slots),
+            folded: 0,
             present: vec![false; slots],
         })
     }
@@ -96,6 +116,7 @@ impl StreamingDistances {
     pub fn reset(&mut self) {
         self.sums.fill(0.0);
         self.arrived.clear();
+        self.folded = 0;
         self.present.fill(false);
     }
 
@@ -109,22 +130,12 @@ impl StreamingDistances {
         self.present.get(slot).copied().unwrap_or(false)
     }
 
-    /// Flat upper-triangle index of the unordered slot pair `(lo, hi)`.
-    #[inline]
-    fn pair_index(&self, lo: usize, hi: usize) -> usize {
-        debug_assert!(lo < hi && hi < self.slots);
-        lo * (2 * self.slots - lo - 1) / 2 + (hi - lo - 1)
-    }
-
-    /// Folds the completed row in `batch.row(slot)` into the pair state
-    /// against every previously arrived row — the per-row event handler of
-    /// the streaming round. `batch` is the submission arena: it must hold one
-    /// row per slot at the accumulator's dimension.
-    ///
-    /// The walk is tile-ordered for cache warmth: the arriving row's
-    /// [`DISTANCE_BLOCK`] slice stays register/L1-hot while every prior row's
-    /// matching slice streams past it, and per (shard, pair) the blocks fold
-    /// in ascending order — the exact left-fold of the batch partial kernel.
+    /// Records the completed row in `batch.row(slot)` — the per-row event
+    /// handler of the streaming round — and folds the pending arrivals into
+    /// the pair state once [`ARRIVAL_GROUP`] of them are waiting. `batch` is
+    /// the submission arena: it must hold one row per slot at the
+    /// accumulator's dimension, and an arrived row must not change until
+    /// the matrix is extracted.
     ///
     /// # Panics
     ///
@@ -133,32 +144,48 @@ impl StreamingDistances {
     /// layer deduplicates packets, so a second completion event for one slot
     /// is a caller bug).
     pub fn row_arrived(&mut self, batch: &GradientBatch, slot: usize) {
-        assert_eq!(batch.n(), self.slots, "arena row count must match slots");
-        assert_eq!(batch.dim(), self.dim, "arena dimension must match");
+        self.check_arena(batch);
         assert!(slot < self.slots, "slot {slot} out of range");
         assert!(!self.present[slot], "slot {slot} already arrived this round");
-        let pair_count = self.slots.saturating_sub(1) * self.slots / 2;
-        for s in 0..self.plan.shard_count() {
-            let cols = self.plan.range(s);
-            let base = s * pair_count;
-            let mut start = cols.start;
-            while start < cols.end {
-                let end = (start + DISTANCE_BLOCK).min(cols.end);
-                let a = &batch.row(slot)[start..end];
-                for &prior in &self.arrived {
-                    let (lo, hi) = if prior < slot { (prior, slot) } else { (slot, prior) };
-                    let p = self.pair_index(lo, hi);
-                    self.sums[base + p] +=
-                        ops::squared_distance_wide(a, &batch.row(prior)[start..end]);
-                }
-                start = end;
-            }
-        }
         self.present[slot] = true;
         self.arrived.push(slot);
+        if self.arrived.len() - self.folded == ARRIVAL_GROUP {
+            self.fold_pending(batch);
+        }
     }
 
-    /// Extracts the distance matrix over the compacted row set `keep` —
+    fn check_arena(&self, batch: &GradientBatch) {
+        assert_eq!(batch.n(), self.slots, "arena row count must match slots");
+        assert_eq!(batch.dim(), self.dim, "arena dimension must match");
+    }
+
+    /// Folds every pending arrival against every earlier arrival and
+    /// against each other, tile by tile: per (shard, pair) the tiles add in
+    /// ascending order from `0.0` — the exact left-fold of the batch partial
+    /// kernel — and each prior row's tile comes from memory once, then
+    /// serves the whole group from cache.
+    fn fold_pending(&mut self, batch: &GradientBatch) {
+        let pair_count = self.slots.saturating_sub(1) * self.slots / 2;
+        let (priors, pending) = self.arrived.split_at(self.folded);
+        for s in 0..self.plan.shard_count() {
+            let cols = self.plan.range(s);
+            let sums = &mut self.sums[s * pair_count..(s + 1) * pair_count];
+            for start in cols.clone().step_by(DISTANCE_BLOCK) {
+                let tile = start..(start + DISTANCE_BLOCK).min(cols.end);
+                for (at, &x) in pending.iter().enumerate() {
+                    let a = &batch.row(x)[tile.clone()];
+                    for &y in priors.iter().chain(&pending[..at]) {
+                        let p = pair_index(self.slots, x.min(y), x.max(y));
+                        sums[p] += ops::squared_distance_wide(a, &batch.row(y)[tile.clone()]);
+                    }
+                }
+            }
+        }
+        self.folded = self.arrived.len();
+    }
+
+    /// Folds any pending arrivals of `batch` (the arena they arrived in),
+    /// then extracts the distance matrix over the compacted row set `keep` —
     /// strictly ascending slot ids, each of which must have arrived. Entry
     /// `(a, b)` of the result is the full-dimension squared distance between
     /// slots `keep[a]` and `keep[b]`: per-shard accumulators folded in
@@ -167,9 +194,13 @@ impl StreamingDistances {
     ///
     /// # Panics
     ///
-    /// Panics when `keep` is not strictly ascending or contains a slot that
-    /// has not arrived.
-    pub fn matrix(&self, keep: &[usize]) -> DistanceMatrix {
+    /// Panics when the arena shape disagrees with the accumulator, or `keep`
+    /// is not strictly ascending or contains a slot that has not arrived.
+    pub fn matrix(&mut self, batch: &GradientBatch, keep: &[usize]) -> DistanceMatrix {
+        self.check_arena(batch);
+        if self.folded < self.arrived.len() {
+            self.fold_pending(batch);
+        }
         for w in keep.windows(2) {
             assert!(w[0] < w[1], "keep slots must be strictly ascending");
         }
@@ -182,7 +213,7 @@ impl StreamingDistances {
         let mut data = Vec::with_capacity(m.saturating_sub(1) * m / 2);
         for a in 0..m {
             for b in (a + 1)..m {
-                let p = self.pair_index(keep[a], keep[b]);
+                let p = pair_index(self.slots, keep[a], keep[b]);
                 let mut total = 0.0f32;
                 for s in 0..shard_count {
                     total += self.sums[s * pair_count + p];
@@ -251,7 +282,10 @@ mod tests {
                 }
             }
             let keep: Vec<usize> = (0..9).collect();
-            assert_matrices_bit_identical(&acc.matrix(&keep), &batch.pairwise_squared_distances());
+            assert_matrices_bit_identical(
+                &acc.matrix(&batch, &keep),
+                &batch.pairwise_squared_distances(),
+            );
         }
     }
 
@@ -273,7 +307,7 @@ mod tests {
                 }
             }
             let keep: Vec<usize> = (0..11).collect();
-            assert_matrices_bit_identical(&acc.matrix(&keep), &expected);
+            assert_matrices_bit_identical(&acc.matrix(&batch, &keep), &expected);
         }
     }
 
@@ -290,10 +324,13 @@ mod tests {
             sharded.row_arrived(&batch, slot);
         }
         let keep: Vec<usize> = (0..6).collect();
-        assert_matrices_bit_identical(&flat.matrix(&keep), &batch.pairwise_squared_distances());
+        assert_matrices_bit_identical(
+            &flat.matrix(&batch, &keep),
+            &batch.pairwise_squared_distances(),
+        );
         for other in [0usize, 1, 3, 5] {
-            assert_eq!(sharded.matrix(&keep).get(2, other), f32::INFINITY);
-            assert_eq!(sharded.matrix(&keep).get(4, other), f32::INFINITY);
+            assert_eq!(sharded.matrix(&batch, &keep).get(2, other), f32::INFINITY);
+            assert_eq!(sharded.matrix(&batch, &keep).get(4, other), f32::INFINITY);
         }
     }
 
@@ -309,7 +346,10 @@ mod tests {
         for slot in [9, 0, 6, 3, 2] {
             flat.row_arrived(&batch, slot);
         }
-        assert_matrices_bit_identical(&flat.matrix(&keep), &compacted.pairwise_squared_distances());
+        assert_matrices_bit_identical(
+            &flat.matrix(&batch, &keep),
+            &compacted.pairwise_squared_distances(),
+        );
 
         // Sharded mode against the partial fold on the compacted batch.
         let plan = ShardPlan::new(2600, 4).unwrap();
@@ -322,7 +362,7 @@ mod tests {
         for slot in [3, 9, 2, 0, 6] {
             sharded.row_arrived(&batch, slot);
         }
-        assert_matrices_bit_identical(&sharded.matrix(&keep), &expected);
+        assert_matrices_bit_identical(&sharded.matrix(&batch, &keep), &expected);
     }
 
     #[test]
@@ -345,7 +385,7 @@ mod tests {
             expected.accumulate(&batch2.pairwise_squared_distance_partials(range));
         }
         expected.map_non_finite_to_infinity();
-        assert_matrices_bit_identical(&acc.matrix(&keep), &expected);
+        assert_matrices_bit_identical(&acc.matrix(&batch2, &keep), &expected);
     }
 
     #[test]
@@ -363,6 +403,6 @@ mod tests {
         let batch = random_batch(3, 8, 1);
         let mut acc = StreamingDistances::sharded(3, 8, 1).unwrap();
         acc.row_arrived(&batch, 0);
-        let _ = acc.matrix(&[0, 2]);
+        let _ = acc.matrix(&batch, &[0, 2]);
     }
 }

